@@ -38,12 +38,9 @@ use gfc_core::units::{Dur, Time};
 use gfc_experiments::common::{sim_config_300k, sim_config_testbed, Scheme};
 use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
-use gfc_topology::cbd::all_pairs_depgraph;
-use gfc_topology::fattree::FatTree;
+use gfc_topology::fattree::{first_cbd_free, FatTree};
 use gfc_topology::{Ring, Routing};
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Stable slug for a scheme, used in cell names and the JSON.
 fn slug(scheme: Scheme) -> &'static str {
@@ -88,16 +85,7 @@ fn ring_cell(scheme: Scheme, horizon: Time, runs: usize) -> Cell {
 /// the same search the k = 8 core scenario uses, scaled down so twelve
 /// cells stay CI-sized.
 fn failed_ft4() -> FatTree {
-    let mut seed = 440u64;
-    loop {
-        seed = seed.wrapping_add(1);
-        let mut ft = FatTree::new(4);
-        let mut rng = StdRng::seed_from_u64(seed);
-        ft.inject_failures(&mut rng, 0.05);
-        if ft.topo.hosts_connected() && all_pairs_depgraph(&ft.topo).find_cycle().is_none() {
-            return ft;
-        }
-    }
+    first_cbd_free(4, 0.05, 440).0
 }
 
 /// ft_k4 under a closed-loop enterprise workload with the given

@@ -37,12 +37,9 @@ use gfc_core::units::{Dur, Time};
 use gfc_experiments::common::{sim_config_300k, sim_config_testbed, Scheme};
 use gfc_sim::flowgen::ClosedLoopWorkload;
 use gfc_sim::{Network, TraceConfig};
-use gfc_topology::cbd::all_pairs_depgraph;
-use gfc_topology::fattree::FatTree;
+use gfc_topology::fattree::first_cbd_free;
 use gfc_topology::{Ring, Routing};
 use gfc_workload::{DestPolicy, EmpiricalCdf, FlowSizeDist};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Build the Fig. 9 ring wedge: three clockwise greedy flows under PFC on
 /// the testbed parameterization; the fabric wedges within milliseconds
@@ -66,16 +63,7 @@ fn build_ring(probe: bool) -> Network {
 /// fat-tree under 5 % link failures, buffer-based GFC, closed-loop
 /// enterprise workload from every host.
 fn fattree_k8(horizon: Time, runs: usize) -> Measurement {
-    let mut seed = 4242u64;
-    let ft = loop {
-        seed = seed.wrapping_add(1);
-        let mut ft = FatTree::new(8);
-        let mut rng = StdRng::seed_from_u64(seed);
-        ft.inject_failures(&mut rng, 0.05);
-        if ft.topo.hosts_connected() && all_pairs_depgraph(&ft.topo).find_cycle().is_none() {
-            break ft;
-        }
-    };
+    let (ft, _) = first_cbd_free(8, 0.05, 4242);
     let racks: Vec<u32> = (0..ft.hosts.len()).map(|h| ft.rack_of_host(h) as u32).collect();
     measure("fattree_k8_gfc", horizon, runs, || {
         let cfg = sim_config_300k(Scheme::GfcBuffer, 4242);

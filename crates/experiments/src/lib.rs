@@ -22,6 +22,7 @@ pub mod fig18;
 pub mod fig19;
 pub mod fig20;
 pub mod perf;
+pub mod preflight_corpus;
 pub mod shootout;
 pub mod table1;
 

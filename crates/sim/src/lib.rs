@@ -53,6 +53,7 @@ pub mod trace;
 pub use config::{FcMode, PreflightPolicy, SimConfig, TelemetryConfig, TimelineConfig};
 pub use flowgen::{ClosedLoopWorkload, FlowRequest, ListWorkload, Workload};
 pub use gfc_telemetry::{ChromeTrace, FlowSpan, FlowSpans, SamplerSet, SpanOutcome};
+pub use gfc_verify::Report;
 pub use network::{Network, SimStats};
 pub use shard::ShardedNetwork;
 pub use trace::{TraceConfig, Traces};
@@ -65,6 +66,6 @@ pub fn preflight(
     topo: &gfc_topology::Topology,
     routing: &gfc_topology::Routing,
     cfg: &SimConfig,
-) -> gfc_verify::Report {
+) -> Report {
     gfc_verify::preflight(topo, routing, &cfg.fabric_spec())
 }

@@ -636,9 +636,16 @@ impl Network {
         bytes: Option<u64>,
         prio: u8,
     ) -> Option<u64> {
-        let path = self.routing.path(&self.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
-        let path: Arc<[LinkId]> = Arc::from(path.into_boxed_slice());
+        let path = self.route(src, dst)?;
         self.start_flow_on_path(src, dst, bytes, prio, path)
+    }
+
+    /// The path the next flow from `src` to `dst` takes: the routing's
+    /// choice under the ECMP identity of the next flow id. `None` if no
+    /// route exists.
+    pub(crate) fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[LinkId]>> {
+        let path = self.routing.path(&self.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
+        Some(Arc::from(path.into_boxed_slice()))
     }
 
     /// Start a flow on an explicit path (scenario constructions).

@@ -14,7 +14,11 @@
 //!   the complete topology, restricted to animating its own domain's
 //!   nodes. Every event handler is the sequential code, byte for byte;
 //!   the only divergence is at push time, where an event bound for a
-//!   foreign node diverts to a per-shard outbox.
+//!   foreign node diverts to a per-shard outbox. Routes are not
+//!   replicated: [`ShardedNetwork::start_flow`] resolves each path once,
+//!   on shard 0 under the sequential engine's ECMP identity (the next
+//!   flow id), and hands the one shared path to every shard, so a single
+//!   SPF route cache exists however many domains there are.
 //! * **Conservative windows.** Every cross-node event carries at least
 //!   the fabric *lookahead* of delay: the link propagation delay for wire
 //!   traffic (data arrivals, control frames, CNPs, completion notices)
@@ -308,7 +312,8 @@ impl ShardedNetwork {
     }
 
     /// Start an explicit flow; returns its id, or `None` if no route
-    /// exists. Every shard registers the flow (ledger and telemetry stay
+    /// exists. The path is resolved once, on shard 0, and shared by every
+    /// shard; every shard registers the flow (ledger and telemetry stay
     /// in lockstep); only the source's shard packetizes.
     pub fn start_flow(
         &mut self,
@@ -317,15 +322,8 @@ impl ShardedNetwork {
         bytes: Option<u64>,
         prio: u8,
     ) -> Option<u64> {
-        let mut id = None;
-        for net in &mut self.shards {
-            let this = net.start_flow(src, dst, bytes, prio);
-            match (id, this) {
-                (None, _) => id = Some(this),
-                (Some(prev), _) => assert_eq!(prev, this, "shards disagreed on flow admission"),
-            }
-        }
-        id.expect("at least one shard")
+        let path = self.shards[0].route(src, dst)?;
+        self.start_flow_on_path(src, dst, bytes, prio, path)
     }
 
     /// Start a flow on an explicit path (scenario constructions).

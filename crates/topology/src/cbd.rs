@@ -28,16 +28,54 @@
 //! links — can always complete; deadlock-free iff the residual empties),
 //! and [`DepGraph::break_set`] names a small set of directed links whose
 //! removal acyclifies a component (greedy feedback-vertex heuristic).
+//!
+//! ## Representation and cost
+//!
+//! Vertices are dense [`DirLink::index`] values in `0..2·num_links`; a
+//! [`DepGraph`] is one successor row per source directed link, kept
+//! sorted and free of duplicates, so every analysis indexes flat arrays
+//! (no hashing, no per-call index maps) and visits vertices and
+//! successors in ascending order — which is what makes
+//! [`DepGraph::find_cycle`], the SCC order and the break sets pure
+//! functions of the edge set.
+//!
+//! The all-destination builders ([`all_pairs_depgraph`],
+//! [`realizable_all_pairs_depgraph`], [`spf_depgraph_for_pairs`]) run one
+//! reusable BFS kernel ([`DstTree::recompute`]: flat distances, an index
+//! queue, CSR next hops) per destination pass and accumulate, per
+//! directed link `u→v`, a bitmask over `v`'s ports: a pass costs one OR
+//! per DAG link into a switch, however many destinations share the
+//! dependency. Hosts that hang off one switch by a single link share that
+//! switch's pass, so a fat-tree needs one pass per edge switch. With `P`
+//! passes, `N` nodes, `L` links and `E` edges, a build is
+//! `O(P·(N + L) + E·log E)`; `condensation`, `peel` and `find_cycle` are
+//! `O(L + E)`, and `break_set` is `O(r·(L + E))` for `r` removals.
+//!
+//! Measured on a 2-vCPU Xeon VM (release build), healthy fat-trees:
+//!
+//! | k | edges | `all_pairs_depgraph` | realizable | transient peak |
+//! |---|---|---|---|---|
+//! | 16 | 62,464 | 10 ms | 16 ms | 0.5 MB (the graph itself) + 0.9 MB for SCC + peel |
+//! | 24 | 321,408 | 72 ms | 81 ms | 2.3 MB + 3.6 MB for SCC + peel |
+//!
+//! (The hash-map representation it replaces took 0.93 s / 0.82 s at
+//! k = 16 and 16 s / 18 s at k = 24, with a 63 MB transient peak for the
+//! k = 24 realizable graph.)
 
 use crate::graph::{DirLink, NodeId, NodeKind, Topology};
-use crate::routing::{path_dirlinks, DstTree};
-use std::collections::{HashMap, HashSet};
+use crate::routing::{path_dirlinks, DstTree, SpfRouting};
 
 /// A buffer-dependency graph over directed links.
 #[derive(Debug, Default, Clone)]
 pub struct DepGraph {
-    /// Adjacency: directed-link index → set of successor directed links.
-    edges: HashMap<u64, HashSet<u64>>,
+    /// `rows[v]` = successors of the directed link with
+    /// [`DirLink::index`] `v`, sorted ascending and free of duplicates.
+    rows: Vec<Vec<u32>>,
+}
+
+/// The dense vertex id of a directed link.
+fn dense(d: DirLink) -> u32 {
+    u32::try_from(d.index()).expect("directed-link index fits u32")
 }
 
 impl DepGraph {
@@ -46,54 +84,60 @@ impl DepGraph {
         Self::default()
     }
 
+    /// Empty graph with a row for every directed link of `topo`.
+    fn for_topology(topo: &Topology) -> Self {
+        DepGraph { rows: vec![Vec::new(); 2 * topo.num_links()] }
+    }
+
     /// Insert the dependency `from → to`.
     pub fn add_edge(&mut self, from: DirLink, to: DirLink) {
-        self.edges.entry(from.index()).or_default().insert(to.index());
+        let (f, t) = (dense(from), dense(to));
+        let need = f.max(t) as usize + 1;
+        if self.rows.len() < need {
+            self.rows.resize_with(need, Vec::new);
+        }
+        insert_sorted(&mut self.rows[f as usize], t);
+    }
+
+    /// The sorted successor row of dense vertex `v` (empty if none).
+    fn row(&self, v: u32) -> &[u32] {
+        self.rows.get(v as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// `mask[v]` = whether dense vertex `v` is a source or target of some
+    /// dependency.
+    fn vertex_mask(&self) -> Vec<bool> {
+        let mut mask: Vec<bool> = self.rows.iter().map(|r| !r.is_empty()).collect();
+        for &t in self.rows.iter().flatten() {
+            mask[t as usize] = true;
+        }
+        mask
     }
 
     /// Number of dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.values().map(std::collections::HashSet::len).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// All vertices (directed links appearing as a source or target of
     /// some dependency), sorted by [`DirLink::index`].
     pub fn vertices(&self) -> Vec<u64> {
-        let mut set: HashSet<u64> = self.edges.keys().copied().collect();
-        for succs in self.edges.values() {
-            set.extend(succs.iter().copied());
-        }
-        let mut vs: Vec<u64> = set.into_iter().collect();
-        vs.sort_unstable();
-        vs
+        let mask = self.vertex_mask();
+        (0..mask.len()).filter(|&v| mask[v]).map(|v| v as u64).collect()
     }
 
     /// Sorted successors of a vertex (empty if it has no out-edges).
     pub fn successors(&self, v: u64) -> Vec<u64> {
-        let mut s: Vec<u64> =
-            self.edges.get(&v).map(|s| s.iter().copied().collect()).unwrap_or_default();
-        s.sort_unstable();
-        s
+        u32::try_from(v)
+            .map_or_else(|_| Vec::new(), |v| self.row(v).iter().map(|&t| u64::from(t)).collect())
     }
 
     /// Whether the dependency edge `from → to` is present (by index).
     pub fn has_edge_idx(&self, from: u64, to: u64) -> bool {
-        self.edges.get(&from).is_some_and(|s| s.contains(&to))
-    }
-
-    /// The subgraph induced by the vertex set `keep`.
-    fn induced(&self, keep: &HashSet<u64>) -> DepGraph {
-        let mut edges: HashMap<u64, HashSet<u64>> = HashMap::new();
-        for (&from, succs) in &self.edges {
-            if !keep.contains(&from) {
-                continue;
-            }
-            let kept: HashSet<u64> = succs.iter().copied().filter(|t| keep.contains(t)).collect();
-            if !kept.is_empty() {
-                edges.insert(from, kept);
-            }
+        match (u32::try_from(from), u32::try_from(to)) {
+            (Ok(f), Ok(t)) => self.row(f).binary_search(&t).is_ok(),
+            _ => false,
         }
-        DepGraph { edges }
     }
 
     /// Strongly connected components by *iterative* Tarjan — no recursion,
@@ -101,65 +145,76 @@ impl DepGraph {
     /// overflow the thread stack. Components come out in Tarjan's reverse
     /// topological order; members are sorted.
     pub fn condensation(&self) -> Condensation {
-        let verts = self.vertices();
-        let n = verts.len();
-        let idx_of: HashMap<u64, usize> = verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let adj: Vec<Vec<usize>> =
-            verts.iter().map(|&v| self.successors(v).iter().map(|t| idx_of[t]).collect()).collect();
+        Condensation { sccs: self.tarjan(&self.vertex_mask()) }
+    }
 
-        const UNSET: usize = usize::MAX;
+    /// Tarjan over the subgraph induced by the dense vertices with
+    /// `alive[v]`: roots ascend, successors are visited in row order.
+    fn tarjan(&self, alive: &[bool]) -> Vec<Scc> {
+        let n = alive.len();
+        const UNSET: u32 = u32::MAX;
         let mut index = vec![UNSET; n];
-        let mut low = vec![0usize; n];
+        let mut low = vec![0u32; n];
         let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
+        let mut stack: Vec<u32> = Vec::new();
+        let mut next_index = 0u32;
         let mut sccs: Vec<Scc> = Vec::new();
+        // Explicit DFS frames: (vertex, next-successor cursor).
+        let mut frames: Vec<(u32, usize)> = Vec::new();
 
         for root in 0..n {
-            if index[root] != UNSET {
+            if !alive[root] || index[root] != UNSET {
                 continue;
             }
-            // Explicit DFS frames: (vertex, next-successor cursor).
-            let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
+            frames.push((root as u32, 0));
             while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
+                let vi = v as usize;
                 if *cursor == 0 {
-                    index[v] = next_index;
-                    low[v] = next_index;
+                    index[vi] = next_index;
+                    low[vi] = next_index;
                     next_index += 1;
                     stack.push(v);
-                    on_stack[v] = true;
+                    on_stack[vi] = true;
                 }
-                if *cursor < adj[v].len() {
-                    let u = adj[v][*cursor];
+                let row = self.row(v);
+                let mut next = None;
+                while let Some(&u) = row.get(*cursor) {
                     *cursor += 1;
-                    if index[u] == UNSET {
+                    if alive[u as usize] {
+                        next = Some(u);
+                        break;
+                    }
+                }
+                if let Some(u) = next {
+                    let ui = u as usize;
+                    if index[ui] == UNSET {
                         frames.push((u, 0));
-                    } else if on_stack[u] {
-                        low[v] = low[v].min(index[u]);
+                    } else if on_stack[ui] {
+                        low[vi] = low[vi].min(index[ui]);
                     }
                 } else {
-                    if low[v] == index[v] {
+                    if low[vi] == index[vi] {
                         let mut members = Vec::new();
                         loop {
                             let w = stack.pop().expect("Tarjan stack holds the component");
-                            on_stack[w] = false;
-                            members.push(verts[w]);
+                            on_stack[w as usize] = false;
+                            members.push(u64::from(w));
                             if w == v {
                                 break;
                             }
                         }
                         members.sort_unstable();
-                        let cyclic = members.len() > 1 || self.has_edge_idx(members[0], members[0]);
+                        let cyclic = members.len() > 1 || self.row(v).binary_search(&v).is_ok();
                         sccs.push(Scc { members, cyclic });
                     }
                     frames.pop();
                     if let Some(&mut (p, _)) = frames.last_mut() {
-                        low[p] = low[p].min(low[v]);
+                        low[p as usize] = low[p as usize].min(low[vi]);
                     }
                 }
             }
         }
-        Condensation { sccs }
+        sccs
     }
 
     /// A representative cycle inside a cyclic component: walk from the
@@ -169,20 +224,20 @@ impl DepGraph {
         if !scc.cyclic {
             return Vec::new();
         }
-        let set: HashSet<u64> = scc.members.iter().copied().collect();
-        let mut pos: HashMap<u64, usize> = HashMap::new();
+        let inside = |t: u32| scc.members.binary_search(&u64::from(t)).is_ok();
+        let mut pos = vec![usize::MAX; self.rows.len()];
         let mut path: Vec<u64> = Vec::new();
-        let mut v = scc.members[0];
+        let mut v = u32::try_from(scc.members[0]).expect("member is a dense vertex");
         loop {
-            if let Some(&p) = pos.get(&v) {
-                return path[p..].to_vec();
+            if pos[v as usize] != usize::MAX {
+                return path[pos[v as usize]..].to_vec();
             }
-            pos.insert(v, path.len());
-            path.push(v);
-            v = self
-                .successors(v)
-                .into_iter()
-                .find(|t| set.contains(t))
+            pos[v as usize] = path.len();
+            path.push(u64::from(v));
+            v = *self
+                .row(v)
+                .iter()
+                .find(|&&t| inside(t))
                 .expect("every vertex of a cyclic SCC has an in-SCC successor");
         }
     }
@@ -197,27 +252,44 @@ impl DepGraph {
         if !scc.cyclic {
             return Vec::new();
         }
-        let mut alive: HashSet<u64> = scc.members.iter().copied().collect();
+        let n = self.rows.len();
+        let mut alive = vec![false; n];
+        for &v in &scc.members {
+            alive[v as usize] = true;
+        }
+        let mut in_worst = vec![false; n];
+        let mut in_deg = vec![0usize; n];
         let mut removed = Vec::new();
         loop {
-            let sub = self.induced(&alive);
-            let cond = sub.condensation();
+            let cond = Condensation { sccs: self.tarjan(&alive) };
             let Some(worst) = cond.cyclic_by_size().into_iter().next() else {
                 break;
             };
-            let wset: HashSet<u64> = worst.members.iter().copied().collect();
+            for &v in &worst.members {
+                in_worst[v as usize] = true;
+            }
+            for &u in &worst.members {
+                for &t in self.row(u as u32) {
+                    if in_worst[t as usize] {
+                        in_deg[t as usize] += 1;
+                    }
+                }
+            }
             let mut best: Option<(usize, u64)> = None;
             for &v in &worst.members {
-                let out = sub.successors(v).iter().filter(|t| wset.contains(t)).count();
-                let inn = worst.members.iter().filter(|&&u| sub.has_edge_idx(u, v)).count();
-                let score = inn * out;
+                let out = self.row(v as u32).iter().filter(|&&t| in_worst[t as usize]).count();
+                let score = in_deg[v as usize] * out;
                 // Members ascend, so `>` keeps the lowest index on ties.
                 if best.is_none_or(|(s, _)| score > s) {
                     best = Some((score, v));
                 }
             }
+            for &v in &worst.members {
+                in_worst[v as usize] = false;
+                in_deg[v as usize] = 0;
+            }
             let (_, v) = best.expect("cyclic component has members");
-            alive.remove(&v);
+            alive[v as usize] = false;
             removed.push(v);
         }
         removed
@@ -231,19 +303,27 @@ impl DepGraph {
     /// graph empties — the leftover vertices are exactly the links that
     /// can reach a dependency cycle.
     pub fn peel(&self) -> PeelOutcome {
-        let verts = self.vertices();
-        let n = verts.len();
-        let idx_of: HashMap<u64, usize> = verts.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut out_deg = vec![0usize; n];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, &v) in verts.iter().enumerate() {
-            for t in self.successors(v) {
-                out_deg[i] += 1;
-                preds[idx_of[&t]].push(i);
+        let mask = self.vertex_mask();
+        let n = self.rows.len();
+        // Predecessor lists in CSR form, each ascending.
+        let mut pred_start = vec![0usize; n + 1];
+        for &t in self.rows.iter().flatten() {
+            pred_start[t as usize + 1] += 1;
+        }
+        for i in 0..n {
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut fill = pred_start.clone();
+        let mut preds = vec![0u32; pred_start[n]];
+        for (v, row) in self.rows.iter().enumerate() {
+            for &t in row {
+                preds[fill[t as usize]] = v as u32;
+                fill[t as usize] += 1;
             }
         }
+        let mut out_deg: Vec<usize> = self.rows.iter().map(Vec::len).collect();
         let mut removed = vec![false; n];
-        let mut frontier: Vec<usize> = (0..n).filter(|&i| out_deg[i] == 0).collect();
+        let mut frontier: Vec<usize> = (0..n).filter(|&i| mask[i] && out_deg[i] == 0).collect();
         let mut rounds = 0;
         let mut peeled = 0;
         while !frontier.is_empty() {
@@ -254,7 +334,8 @@ impl DepGraph {
             }
             let mut next = Vec::new();
             for &i in &frontier {
-                for &p in &preds[i] {
+                for &p in &preds[pred_start[i]..pred_start[i + 1]] {
+                    let p = p as usize;
                     out_deg[p] -= 1;
                     if out_deg[p] == 0 && !removed[p] {
                         next.push(p);
@@ -264,8 +345,7 @@ impl DepGraph {
             next.sort_unstable();
             frontier = next;
         }
-        let residual =
-            verts.iter().enumerate().filter(|&(i, _)| !removed[i]).map(|(_, &v)| v).collect();
+        let residual = (0..n).filter(|&i| mask[i] && !removed[i]).map(|i| i as u64).collect();
         PeelOutcome { peeled, rounds, residual }
     }
 
@@ -275,55 +355,52 @@ impl DepGraph {
     }
 
     /// Find one cycle, as a sequence of directed-link indices (first
-    /// element repeated implicitly), if any exists.
+    /// element repeated implicitly), if any exists. Roots ascend and each
+    /// vertex's successors are taken largest first, so the cycle returned
+    /// is a pure function of the edge set.
     pub fn find_cycle(&self) -> Option<Vec<u64>> {
-        // Iterative DFS with colors: 0 = white, 1 = on stack, 2 = done.
-        let mut color: HashMap<u64, u8> = HashMap::new();
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        let mut roots: Vec<u64> = self.edges.keys().copied().collect();
-        roots.sort_unstable(); // determinism
-        for &root in &roots {
-            if color.get(&root).copied().unwrap_or(0) != 0 {
+        const WHITE: u8 = 0;
+        const ON_STACK: u8 = 1;
+        const DONE: u8 = 2;
+        let n = self.rows.len();
+        let mut color = vec![WHITE; n];
+        let mut parent = vec![0u32; n];
+        // Stack of (vertex, successors not yet taken): the untaken ones
+        // are the row prefix `..rest`.
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for root in 0..n {
+            if self.rows[root].is_empty() || color[root] != WHITE {
                 continue;
             }
-            // Stack of (node, next-successor cursor).
-            let mut stack: Vec<(u64, Vec<u64>)> = Vec::new();
-            let mut succs: Vec<u64> =
-                self.edges.get(&root).map(|s| s.iter().copied().collect()).unwrap_or_default();
-            succs.sort_unstable();
-            color.insert(root, 1);
-            stack.push((root, succs));
+            color[root] = ON_STACK;
+            stack.push((root as u32, self.rows[root].len()));
             while let Some((v, rest)) = stack.last_mut() {
                 let v = *v;
-                if let Some(u) = rest.pop() {
-                    match color.get(&u).copied().unwrap_or(0) {
-                        0 => {
-                            parent.insert(u, v);
-                            color.insert(u, 1);
-                            let mut s: Vec<u64> = self
-                                .edges
-                                .get(&u)
-                                .map(|s| s.iter().copied().collect())
-                                .unwrap_or_default();
-                            s.sort_unstable();
-                            stack.push((u, s));
-                        }
-                        1 => {
-                            // Back edge v → u closes a cycle u → … → v → u.
-                            let mut cyc = vec![v];
-                            let mut w = v;
-                            while w != u {
-                                w = parent[&w];
-                                cyc.push(w);
-                            }
-                            cyc.reverse();
-                            return Some(cyc);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color.insert(v, 2);
+                if *rest == 0 {
+                    color[v as usize] = DONE;
                     stack.pop();
+                    continue;
+                }
+                *rest -= 1;
+                let u = self.rows[v as usize][*rest];
+                match color[u as usize] {
+                    WHITE => {
+                        parent[u as usize] = v;
+                        color[u as usize] = ON_STACK;
+                        stack.push((u, self.rows[u as usize].len()));
+                    }
+                    ON_STACK => {
+                        // Back edge v → u closes a cycle u → … → v → u.
+                        let mut cyc = vec![u64::from(v)];
+                        let mut w = v;
+                        while w != u {
+                            w = parent[w as usize];
+                            cyc.push(u64::from(w));
+                        }
+                        cyc.reverse();
+                        return Some(cyc);
+                    }
+                    _ => {}
                 }
             }
         }
@@ -412,32 +489,11 @@ pub fn spf_depgraph_for_pairs(
     pairs_by_dst: &[(NodeId, Vec<NodeId>)],
     g: &mut DepGraph,
 ) {
+    let mut deps = DagDeps::new(topo);
     for (dst, srcs) in pairs_by_dst {
-        let tree = DstTree::compute(topo, *dst);
-        let mut reach = vec![false; topo.num_nodes()];
-        let mut stack: Vec<NodeId> = Vec::new();
-        for &s in srcs {
-            if tree.dist[s.0 as usize] != u32::MAX && !reach[s.0 as usize] {
-                reach[s.0 as usize] = true;
-                stack.push(s);
-            }
-        }
-        while let Some(u) = stack.pop() {
-            for &l in &tree.next_hops[u.0 as usize] {
-                let v = topo.peer(l, u);
-                if topo.node(v).kind == NodeKind::Switch {
-                    let incoming = topo.dir_from(l, u);
-                    for &lo in &tree.next_hops[v.0 as usize] {
-                        g.add_edge(incoming, topo.dir_from(lo, v));
-                    }
-                }
-                if !reach[v.0 as usize] {
-                    reach[v.0 as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
+        deps.add_reachable(*dst, srcs.iter().copied());
     }
+    deps.rows.merge_into(topo, g);
 }
 
 /// The host-realizable restriction of [`all_pairs_depgraph`]: only
@@ -446,12 +502,234 @@ pub fn spf_depgraph_for_pairs(
 /// acyclicity here; the converse can fail (see the sparse ring in
 /// `scenarios`), which is exactly when the Table 1 prefilter cries wolf.
 pub fn realizable_all_pairs_depgraph(topo: &Topology) -> DepGraph {
-    let hosts = topo.hosts();
-    let pairs: Vec<(NodeId, Vec<NodeId>)> =
-        hosts.iter().map(|&d| (d, hosts.iter().copied().filter(|&s| s != d).collect())).collect();
-    let mut g = DepGraph::new();
-    spf_depgraph_for_pairs(topo, &pairs, &mut g);
-    g
+    DagDeps::all_hosts(topo, true)
+}
+
+/// Dependency rows of the all-destination builders, one bitmask per
+/// directed link `u→v` over the ports of `v`: bit `p` set means occupants
+/// arriving over `u→v` may wait on `v`'s port `p`. Every dependency of
+/// these builders leaves through the switch its upstream link enters, so a
+/// destination's contribution at `v` is one OR of `v`'s next-hop port mask
+/// into each incoming link's row, and the dependencies that thousands of
+/// destinations share cost a word operation each instead of an insert.
+struct PortRows {
+    /// `bits[start[d]..start[d + 1]]` = the row of directed link index `d`.
+    start: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl PortRows {
+    fn new(topo: &Topology) -> Self {
+        let mut start = Vec::with_capacity(2 * topo.num_links() + 1);
+        let mut words = 0;
+        for l in topo.link_ids() {
+            let link = topo.link(l);
+            // Index order: A→B (entering b), then B→A (entering a).
+            for v in [link.b, link.a] {
+                start.push(words);
+                words += topo.ports(v).len().div_ceil(64);
+            }
+        }
+        start.push(words);
+        PortRows { start, bits: vec![0; words] }
+    }
+
+    fn or_row(&mut self, d: DirLink, mask: &[u64]) {
+        let i = dense(d) as usize;
+        for (w, m) in self.bits[self.start[i]..self.start[i + 1]].iter_mut().zip(mask) {
+            *w |= m;
+        }
+    }
+
+    /// Add every accumulated dependency to `g`.
+    fn merge_into(&self, topo: &Topology, g: &mut DepGraph) {
+        let n = self.start.len() - 1;
+        if g.rows.len() < n {
+            g.rows.resize_with(n, Vec::new);
+        }
+        let mut targets: Vec<u32> = Vec::new();
+        for i in 0..n {
+            let d = DirLink::from_index(i as u64);
+            let v = topo.dir_dst(d);
+            targets.clear();
+            for (wi, &word) in self.bits[self.start[i]..self.start[i + 1]].iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let (_, out) = topo.ports(v)[wi * 64 + word.trailing_zeros() as usize];
+                    targets.push(dense(topo.dir_from(out, v)));
+                    word &= word - 1;
+                }
+            }
+            targets.sort_unstable();
+            let row = &mut g.rows[i];
+            if row.is_empty() {
+                row.extend_from_slice(&targets);
+            } else {
+                for &t in &targets {
+                    insert_sorted(row, t);
+                }
+            }
+        }
+    }
+}
+
+/// Insert `t` into the sorted, duplicate-free `row` unless present.
+fn insert_sorted(row: &mut Vec<u32>, t: u32) {
+    if let Err(at) = row.binary_search(&t) {
+        row.insert(at, t);
+    }
+}
+
+/// Per-destination scratch of the SPF/ECMP builders: the BFS tree toward
+/// the destination, the DAG reach set, and the accumulated rows.
+struct DagDeps<'t> {
+    topo: &'t Topology,
+    switches: Vec<NodeId>,
+    tree: DstTree,
+    reach: Vec<bool>,
+    stack: Vec<NodeId>,
+    mask: Vec<u64>,
+    rows: PortRows,
+}
+
+impl<'t> DagDeps<'t> {
+    fn new(topo: &'t Topology) -> Self {
+        DagDeps {
+            topo,
+            switches: topo.switches(),
+            tree: DstTree::default(),
+            reach: vec![false; topo.num_nodes()],
+            stack: Vec::new(),
+            mask: Vec::new(),
+            rows: PortRows::new(topo),
+        }
+    }
+
+    /// Every dependency of the equal-cost DAG toward `dst`.
+    fn add_all(&mut self, dst: NodeId) {
+        self.tree.recompute(self.topo, dst);
+        self.add_switch_deps(false);
+    }
+
+    /// The dependencies toward `dst` whose upstream node a flow from one
+    /// of `srcs` can reach inside the equal-cost DAG.
+    fn add_reachable(&mut self, dst: NodeId, srcs: impl IntoIterator<Item = NodeId>) {
+        self.tree.recompute(self.topo, dst);
+        self.mark_reach(srcs);
+        self.add_switch_deps(true);
+    }
+
+    /// `reach[v]` = whether a flow from one of `srcs` can reach `v` inside
+    /// the equal-cost DAG of the current tree.
+    fn mark_reach(&mut self, srcs: impl IntoIterator<Item = NodeId>) {
+        self.reach.fill(false);
+        for s in srcs {
+            if self.tree.dist[s.0 as usize] != u32::MAX && !self.reach[s.0 as usize] {
+                self.reach[s.0 as usize] = true;
+                self.stack.push(s);
+            }
+        }
+        while let Some(u) = self.stack.pop() {
+            for &l in self.tree.next_hops(u) {
+                let v = self.topo.peer(l, u);
+                if !self.reach[v.0 as usize] {
+                    self.reach[v.0 as usize] = true;
+                    self.stack.push(v);
+                }
+            }
+        }
+    }
+
+    /// The dependency graph of the DAGs toward every host: all their
+    /// dependencies, or with `realizable` only those a flow from another
+    /// host can exercise.
+    ///
+    /// A host `h` whose only alive link leads to switch `e` shares `e`'s
+    /// DAG: every distance toward `h` is one more than toward `e`, and the
+    /// only extra DAG edge is `e→h`. So one pass toward `e` yields the
+    /// dependencies at every other switch for all such hosts of `e`, and
+    /// the last hop adds `(u→e, e→h)` for each alive neighbor `u ≠ h`.
+    /// Reach agrees as well: reach from every host and reach from the
+    /// hosts other than `h` differ at most at `h` and `e`, and neither is
+    /// the upstream end of a dependency before the last hop.
+    fn all_hosts(topo: &'t Topology, realizable: bool) -> DepGraph {
+        let mut deps = DagDeps::new(topo);
+        deps.add_all_hosts(realizable);
+        let mut g = DepGraph::for_topology(topo);
+        deps.rows.merge_into(topo, &mut g);
+        g
+    }
+
+    /// The passes of [`DagDeps::all_hosts`].
+    fn add_all_hosts(&mut self, realizable: bool) {
+        let topo = self.topo;
+        let hosts = topo.hosts();
+        // leaf_ports[e] = the ports of switch `e` leading to such hosts.
+        let mut leaf_ports: Vec<Vec<usize>> = vec![Vec::new(); topo.num_nodes()];
+        for &h in &hosts {
+            let mut alive = topo.neighbors(h);
+            match (alive.next(), alive.next()) {
+                (Some((e, l)), None) if topo.node(e).kind == NodeKind::Switch => {
+                    leaf_ports[e.0 as usize].push(topo.port_of(e, l));
+                }
+                _ if realizable => self.add_reachable(h, hosts.iter().copied().filter(|&s| s != h)),
+                _ => self.add_all(h),
+            }
+        }
+        for e in topo.node_ids() {
+            let leaves = &leaf_ports[e.0 as usize];
+            if leaves.is_empty() {
+                continue;
+            }
+            self.tree.recompute(topo, e);
+            if realizable {
+                self.mark_reach(hosts.iter().copied());
+            }
+            self.add_switch_deps(realizable);
+            let ports = topo.ports(e);
+            let mut leaf_mask = vec![0u64; ports.len().div_ceil(64)];
+            for &p in leaves {
+                leaf_mask[p / 64] |= 1 << (p % 64);
+            }
+            for (p, &(u, l)) in ports.iter().enumerate() {
+                if topo.link_alive(l) && (!realizable || self.reach[u.0 as usize]) {
+                    // No U-turn: a leaf's own port is not its successor.
+                    self.mask.clone_from(&leaf_mask);
+                    self.mask[p / 64] &= !(1 << (p % 64));
+                    self.rows.or_row(topo.dir_from(l, u), &self.mask);
+                }
+            }
+        }
+    }
+
+    /// For every switch `v` on the DAG, charge `v`'s next-hop ports to each
+    /// link `u→v` that is itself a DAG edge (`dist[u] = dist[v] + 1`) —
+    /// only from reached `u` when `reached_only`.
+    fn add_switch_deps(&mut self, reached_only: bool) {
+        let (topo, dist) = (self.topo, &self.tree.dist);
+        for &v in &self.switches {
+            let dv = dist[v.0 as usize];
+            if dv == u32::MAX || dv == 0 {
+                continue;
+            }
+            let ports = topo.ports(v);
+            self.mask.clear();
+            self.mask.resize(ports.len().div_ceil(64), 0);
+            for (p, &(w, l)) in ports.iter().enumerate() {
+                if dist[w.0 as usize] == dv - 1 && topo.link_alive(l) {
+                    self.mask[p / 64] |= 1 << (p % 64);
+                }
+            }
+            for &(u, l) in ports {
+                if dist[u.0 as usize] == dv + 1
+                    && topo.link_alive(l)
+                    && (!reached_only || self.reach[u.0 as usize])
+                {
+                    self.rows.or_row(topo.dir_from(l, u), &self.mask);
+                }
+            }
+        }
+    }
 }
 
 /// Build the dependency graph induced by concrete flows, each given as
@@ -460,7 +738,7 @@ pub fn depgraph_for_flows(
     topo: &Topology,
     flows: &[(NodeId, Vec<crate::graph::LinkId>)],
 ) -> DepGraph {
-    let mut g = DepGraph::new();
+    let mut g = DepGraph::for_topology(topo);
     for (src, path) in flows {
         let dirs = path_dirlinks(topo, *src, path);
         for w in dirs.windows(2) {
@@ -481,36 +759,7 @@ pub fn depgraph_for_flows(
 /// graph; [`DepGraph::has_cycle`] on it is the Table 1 "CBD-prone"
 /// predicate.
 pub fn all_pairs_depgraph(topo: &Topology) -> DepGraph {
-    let mut g = DepGraph::new();
-    for dst in topo.hosts() {
-        let tree = DstTree::compute(topo, dst);
-        for v in topo.node_ids() {
-            if topo.node(v).kind != NodeKind::Switch {
-                continue;
-            }
-            let dv = tree.dist[v.0 as usize];
-            if dv == u32::MAX || dv == 0 {
-                continue;
-            }
-            // Outgoing candidates from v toward dst.
-            let outs = &tree.next_hops[v.0 as usize];
-            if outs.is_empty() {
-                continue;
-            }
-            // Incoming candidates: links (u,v) where u routes via v,
-            // i.e. dist[u] == dv + 1 (and u is not the destination side).
-            for (u, l) in topo.neighbors(v) {
-                if tree.dist[u.0 as usize] == dv + 1 {
-                    let incoming = topo.dir_from(l, u);
-                    for &lo in outs {
-                        let outgoing = topo.dir_from(lo, v);
-                        g.add_edge(incoming, outgoing);
-                    }
-                }
-            }
-        }
-    }
-    g
+    DagDeps::all_hosts(topo, false)
 }
 
 /// The Table 1 prefilter: can any combination of host-to-host SPF/ECMP
@@ -536,7 +785,7 @@ pub fn realize_cycle(
     let hosts = topo.hosts();
     let decode = DirLink::from_index;
     let mut flows = Vec::new();
-    let mut tree_cache: HashMap<NodeId, DstTree> = HashMap::new();
+    let mut tree_cache = SpfRouting::new();
     let n = cycle.len();
     for i in 0..n {
         let d1 = decode(cycle[i]);
@@ -556,7 +805,7 @@ pub fn realize_cycle(
                 if dst == src {
                     continue;
                 }
-                let tree_dst = tree_cache.entry(dst).or_insert_with(|| DstTree::compute(topo, dst));
+                let tree_dst = tree_cache.tree(topo, dst);
                 // Suffix w → dst avoiding every node already visited.
                 let mut avoid = prefix_nodes.clone();
                 avoid.push(v);
@@ -598,7 +847,7 @@ fn walk_toward(
     let mut at = from;
     while at != to {
         let mut stepped = false;
-        for &l in &tree.next_hops[at.0 as usize] {
+        for &l in tree.next_hops(at) {
             let peer = topo.peer(l, at);
             if !avoid.contains(&peer) {
                 path.push(l);
@@ -794,9 +1043,14 @@ mod tests {
             let bs = g.break_set(scc);
             assert_eq!(bs.len(), 1, "a simple cycle needs exactly one removal: {bs:?}");
             // Removing it acyclifies the component.
-            let keep: std::collections::HashSet<u64> =
-                scc.members.iter().copied().filter(|v| !bs.contains(v)).collect();
-            assert_eq!(g.induced(&keep).condensation().num_cyclic(), 0);
+            let keep: Vec<u64> = scc.members.iter().copied().filter(|v| !bs.contains(v)).collect();
+            let mut sub = DepGraph::new();
+            for &v in &keep {
+                for t in g.successors(v).into_iter().filter(|t| keep.contains(t)) {
+                    sub.add_edge(DirLink::from_index(v), DirLink::from_index(t));
+                }
+            }
+            assert_eq!(sub.condensation().num_cyclic(), 0);
         }
     }
 

@@ -234,6 +234,26 @@ pub fn find_fig11_failures(max_hash_tries: u64) -> Option<(FatTree, Fig11Scenari
     None
 }
 
+/// The first connected, CBD-free k-ary fat-tree under `failure_prob`
+/// link failures: seeds `after_seed + 1, after_seed + 2, …` are tried in
+/// order until the all-pairs SPF dependency graph of a connected
+/// candidate has no cycle (the Fig. 16/17 fabric search). Returns the
+/// fabric and the number of candidates tried; loops until one is found.
+pub fn first_cbd_free(k: usize, failure_prob: f64, after_seed: u64) -> (FatTree, u64) {
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut seed = after_seed;
+    let mut candidates = 0;
+    loop {
+        seed = seed.wrapping_add(1);
+        candidates += 1;
+        let mut ft = FatTree::new(k);
+        ft.inject_failures(&mut StdRng::seed_from_u64(seed), failure_prob);
+        if ft.topo.hosts_connected() && !crate::cbd::cbd_prone(&ft.topo) {
+            return (ft, candidates);
+        }
+    }
+}
+
 /// Search seeded failed k=4 fat-trees (8 % fabric-link failures) for the
 /// up/down showcase: a fabric whose all-pairs SPF union admits a CBD (the
 /// Table 1 prefilter cries wolf) while strict up/down routes still cover
@@ -415,5 +435,18 @@ mod tests {
         let (ft, sc) = found.unwrap();
         assert_eq!(sc.failed.len(), 3);
         assert!(ft.topo.hosts_connected());
+    }
+
+    #[test]
+    fn first_cbd_free_counts_its_candidates() {
+        // The Fig. 16/17 search at its benchmark seed: the candidate count
+        // is the work the fabric search does, so it is pinned.
+        let (ft, candidates) = first_cbd_free(8, 0.05, 4242);
+        assert_eq!(candidates, 407);
+        assert!(ft.topo.hosts_connected() && !cbd_prone(&ft.topo));
+        let mut again = FatTree::new(8);
+        again.inject_failures(&mut StdRng::seed_from_u64(4242 + candidates), 0.05);
+        let dead = |t: &Topology| t.link_ids().filter(|&l| !t.link_alive(l)).collect::<Vec<_>>();
+        assert_eq!(dead(&again.topo), dead(&ft.topo));
     }
 }

@@ -15,46 +15,73 @@
 use crate::graph::{DirLink, LinkId, NodeId, Topology};
 use std::collections::HashMap;
 
-/// Per-destination BFS result.
-#[derive(Debug, Clone)]
+/// Per-destination BFS result. The next hops are stored flat (CSR): one
+/// `LinkId` buffer plus per-node offsets, so a tree is three allocations
+/// regardless of the node count and [`DstTree::recompute`] can refill it
+/// in place for the next destination.
+#[derive(Debug, Clone, Default)]
 pub struct DstTree {
     /// `dist[v]` = hop distance from node `v` to the destination
     /// (`u32::MAX` if unreachable).
     pub dist: Vec<u32>,
-    /// `next_hops[v]` = alive links from `v` leading one hop closer,
-    /// sorted by link id.
-    pub next_hops: Vec<Vec<LinkId>>,
+    /// `hops[hop_start[v]..hop_start[v + 1]]` = the next hops of `v`.
+    hop_start: Vec<u32>,
+    hops: Vec<LinkId>,
 }
 
 impl DstTree {
     /// Compute the BFS tree toward `dst` over alive links.
     pub fn compute(topo: &Topology, dst: NodeId) -> DstTree {
+        let mut tree = DstTree::default();
+        tree.recompute(topo, dst);
+        tree
+    }
+
+    /// Recompute this tree toward `dst`, reusing its buffers — the kernel
+    /// the CBD builders run once per destination pass.
+    pub fn recompute(&mut self, topo: &Topology, dst: NodeId) {
         let n = topo.num_nodes();
-        let mut dist = vec![u32::MAX; n];
-        dist[dst.0 as usize] = 0;
-        let mut queue = std::collections::VecDeque::from([dst]);
-        while let Some(v) = queue.pop_front() {
+        self.dist.clear();
+        self.dist.resize(n, u32::MAX);
+        self.dist[dst.0 as usize] = 0;
+        // Index queue: each node is appended once, when first reached, and
+        // consumed by cursor.
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        queue.push(dst);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let dv = self.dist[v.0 as usize] + 1;
             for (u, _) in topo.neighbors(v) {
-                if dist[u.0 as usize] == u32::MAX {
-                    dist[u.0 as usize] = dist[v.0 as usize] + 1;
-                    queue.push_back(u);
+                if self.dist[u.0 as usize] == u32::MAX {
+                    self.dist[u.0 as usize] = dv;
+                    queue.push(u);
                 }
             }
         }
-        let mut next_hops = vec![Vec::new(); n];
+        self.hop_start.clear();
+        self.hops.clear();
         for v in topo.node_ids() {
-            let dv = dist[v.0 as usize];
+            let start = self.hops.len();
+            self.hop_start.push(u32::try_from(start).expect("hop count fits u32"));
+            let dv = self.dist[v.0 as usize];
             if dv == u32::MAX || dv == 0 {
                 continue;
             }
             for (u, l) in topo.neighbors(v) {
-                if dist[u.0 as usize] == dv - 1 {
-                    next_hops[v.0 as usize].push(l);
+                if self.dist[u.0 as usize] == dv - 1 {
+                    self.hops.push(l);
                 }
             }
-            next_hops[v.0 as usize].sort_unstable();
+            self.hops[start..].sort_unstable();
         }
-        DstTree { dist, next_hops }
+        self.hop_start.push(u32::try_from(self.hops.len()).expect("hop count fits u32"));
+    }
+
+    /// Alive links from `v` leading one hop closer, sorted by link id.
+    pub fn next_hops(&self, v: NodeId) -> &[LinkId] {
+        let i = v.0 as usize;
+        &self.hops[self.hop_start[i] as usize..self.hop_start[i + 1] as usize]
     }
 }
 
@@ -71,7 +98,8 @@ fn mix64(mut x: u64) -> u64 {
 /// every tree is a pure function of the topology.
 #[derive(Debug, Clone, Default)]
 pub struct SpfRouting {
-    trees: HashMap<NodeId, DstTree>,
+    /// Indexed by destination node.
+    trees: Vec<Option<DstTree>>,
 }
 
 impl SpfRouting {
@@ -88,7 +116,11 @@ impl SpfRouting {
 
     /// The (cached) BFS tree toward `dst`.
     pub fn tree(&mut self, topo: &Topology, dst: NodeId) -> &DstTree {
-        self.trees.entry(dst).or_insert_with(|| DstTree::compute(topo, dst))
+        let i = dst.0 as usize;
+        if self.trees.len() <= i {
+            self.trees.resize_with(i + 1, || None);
+        }
+        self.trees[i].get_or_insert_with(|| DstTree::compute(topo, dst))
     }
 
     /// Hop distance from `src` to `dst`, if reachable.
@@ -113,7 +145,7 @@ impl SpfRouting {
         let mut path = Vec::with_capacity(tree.dist[src.0 as usize] as usize);
         let mut v = src;
         while v != dst {
-            let hops = &tree.next_hops[v.0 as usize];
+            let hops = tree.next_hops(v);
             debug_assert!(!hops.is_empty(), "distance finite but no next hop");
             let pick = (mix64(flow_hash ^ mix64(v.0 as u64)) % hops.len() as u64) as usize;
             let l = hops[pick];
@@ -255,7 +287,7 @@ mod tests {
         assert_eq!(tree.dist[c.0 as usize], 1);
         assert_eq!(tree.dist[d.0 as usize], 0);
         // a has two equal-cost next hops.
-        assert_eq!(tree.next_hops[a.0 as usize].len(), 2);
+        assert_eq!(tree.next_hops(a).len(), 2);
     }
 
     #[test]
