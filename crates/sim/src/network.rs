@@ -575,7 +575,7 @@ impl Network {
     /// instant), and the sparse flight-recorder events as instants — as a
     /// Chrome trace-event document for Perfetto / `chrome://tracing`.
     /// Always valid; empty sections are simply absent.
-    pub fn chrome_trace(&self) -> ChromeTrace {
+    pub fn chrome_trace(&self) -> ChromeTrace<'_> {
         let mut tr = ChromeTrace::new();
         for n in self.topo.node_ids() {
             tr.process_name(n.0, &self.topo.node(n).name);

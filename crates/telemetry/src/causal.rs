@@ -35,7 +35,7 @@
 //! depth is 0 by construction, while PFC's pause trees deepen hop by hop
 //! with a lag of roughly the feedback delay τ per hop.
 
-use crate::registry::{json_str, names, Snapshot};
+use crate::registry::{names, push_json_str, Snapshot};
 use core::fmt::Write as _;
 use std::collections::HashMap;
 
@@ -658,8 +658,9 @@ impl CausalReport {
                 e.start_ps as f64 / 1e9,
                 e.end_or(self.horizon_ps) as f64 / 1e9
             );
-            let _ =
-                writeln!(out, "  e{} [label={}, shape={shape}{extra}];", e.id, json_str(&label));
+            let _ = write!(out, "  e{} [label=", e.id);
+            push_json_str(&mut out, &label);
+            let _ = writeln!(out, ", shape={shape}{extra}];");
         }
         for e in &self.episodes {
             if let Some(p) = e.parent {

@@ -342,7 +342,9 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (i, e) in self.entries.iter().enumerate() {
-            let _ = write!(out, "  {}: ", json_str(&e.name));
+            out.push_str("  ");
+            push_json_str(&mut out, &e.name);
+            out.push_str(": ");
             match &e.value {
                 MetricValue::Counter(v) => {
                     let _ = write!(out, "{v}");
@@ -351,12 +353,11 @@ impl Snapshot {
                     let _ = write!(out, "{{\"value\": {value}, \"high_water\": {high_water}}}");
                 }
                 MetricValue::Histogram { bounds, counts, count, sum } => {
-                    let _ = write!(
-                        out,
-                        "{{\"bounds\": {}, \"counts\": {}, \"count\": {count}, \"sum\": {sum}}}",
-                        json_u64_array(bounds),
-                        json_u64_array(counts),
-                    );
+                    out.push_str("{\"bounds\": ");
+                    push_u64_array(&mut out, bounds);
+                    out.push_str(", \"counts\": ");
+                    push_u64_array(&mut out, counts);
+                    let _ = write!(out, ", \"count\": {count}, \"sum\": {sum}}}");
                 }
             }
             out.push_str(if i + 1 == self.entries.len() { "\n" } else { ",\n" });
@@ -367,31 +368,30 @@ impl Snapshot {
 
     /// Export as CSV with header `metric,field,value`; gauges contribute
     /// `value`/`high_water` rows, histograms one `le_<bound>` row per
-    /// bucket (`le_inf` for overflow) plus `count` and `sum`.
+    /// bucket (`le_inf` for overflow) plus `count` and `sum`. Metric
+    /// names are quoted per RFC 4180 when they need it.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("metric,field,value\n");
         for e in &self.entries {
+            let mut row = |field: core::fmt::Arguments<'_>, v: u64| {
+                push_csv_field(&mut out, &e.name);
+                let _ = writeln!(out, ",{field},{v}");
+            };
             match &e.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "{},value,{v}", e.name);
-                }
+                MetricValue::Counter(v) => row(format_args!("value"), *v),
                 MetricValue::Gauge { value, high_water } => {
-                    let _ = writeln!(out, "{},value,{value}", e.name);
-                    let _ = writeln!(out, "{},high_water,{high_water}", e.name);
+                    row(format_args!("value"), *value);
+                    row(format_args!("high_water"), *high_water);
                 }
                 MetricValue::Histogram { bounds, counts, count, sum } => {
-                    for (i, c) in counts.iter().enumerate() {
+                    for (i, &c) in counts.iter().enumerate() {
                         match bounds.get(i) {
-                            Some(b) => {
-                                let _ = writeln!(out, "{},le_{b},{c}", e.name);
-                            }
-                            None => {
-                                let _ = writeln!(out, "{},le_inf,{c}", e.name);
-                            }
+                            Some(b) => row(format_args!("le_{b}"), c),
+                            None => row(format_args!("le_inf"), c),
                         }
                     }
-                    let _ = writeln!(out, "{},count,{count}", e.name);
-                    let _ = writeln!(out, "{},sum,{sum}", e.name);
+                    row(format_args!("count"), *count);
+                    row(format_args!("sum"), *sum);
                 }
             }
         }
@@ -446,26 +446,53 @@ impl core::fmt::Display for Percentiles {
     }
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else copied through in runs.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Only ASCII bytes stop a run, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match short {
+            Some(esc) => out.push_str(esc),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
-fn json_u64_array(vals: &[u64]) -> String {
-    let mut out = String::from("[");
+/// Append `s` as one RFC 4180 CSV field: quoted, with quotes doubled,
+/// when it holds a comma, a quote or a line break; verbatim otherwise.
+pub(crate) fn push_csv_field(out: &mut String, s: &str) {
+    if !s.contains([',', '"', '\n', '\r']) {
+        out.push_str(s);
+        return;
+    }
+    out.push('"');
+    for c in s.chars() {
+        if c == '"' {
+            out.push('"');
+        }
+        out.push(c);
+    }
+    out.push('"');
+}
+
+/// Append `vals` as a JSON array, `[a, b, …]`.
+fn push_u64_array(out: &mut String, vals: &[u64]) {
+    out.push('[');
     for (i, v) in vals.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -473,7 +500,6 @@ fn json_u64_array(vals: &[u64]) -> String {
         let _ = write!(out, "{v}");
     }
     out.push(']');
-    out
 }
 
 /// Metric-name constants shared between the simulator (producer) and
@@ -708,7 +734,32 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let mut out = String::from("x=");
+        push_json_str(&mut out, "a\"b\\c\nd\u{1}é\t");
+        assert_eq!(out, "x=\"a\\\"b\\\\c\\nd\\u0001é\\u0009\"");
+    }
+
+    #[test]
+    fn csv_fields_are_quoted_per_rfc_4180() {
+        let field = |s: &str| {
+            let mut out = String::new();
+            push_csv_field(&mut out, s);
+            out
+        };
+        assert_eq!(field("sim.x"), "sim.x");
+        assert_eq!(field("a,b"), "\"a,b\"");
+        assert_eq!(field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(field("two\nlines"), "\"two\nlines\"");
+        assert_eq!(field("cr\r"), "\"cr\r\"");
+    }
+
+    #[test]
+    fn snapshot_csv_quotes_metric_names() {
+        let mut reg = MetricsRegistry::new();
+        let c = reg.counter("drops,by port");
+        reg.inc(c, 2);
+        let csv = reg.snapshot().to_csv();
+        assert_eq!(csv, "metric,field,value\n\"drops,by port\",value,2\n");
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! [`export::ChromeTrace`](crate::export::ChromeTrace) and to CSV for
 //! plotting (the Fig. 13-style occupancy curves).
 
+use crate::export::{push_f64, push_u64};
+use crate::registry::push_csv_field;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// What the timeline records. Embedded in
 /// [`TelemetryConfig`](crate::TelemetryConfig).
@@ -252,18 +253,20 @@ impl SamplerSet {
     }
 
     /// Export all tracks as CSV: header `t_ps,<track>,...`, one row per
-    /// sample. Track names containing commas or quotes are quoted.
+    /// sample. Track names are quoted per RFC 4180 when they need it;
+    /// values print exactly as `Display` renders them.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("t_ps");
         for tr in &self.tracks {
             out.push(',');
-            out.push_str(&csv_field(&tr.name));
+            push_csv_field(&mut out, &tr.name);
         }
         out.push('\n');
         for (i, &t) in self.t_ps.iter().enumerate() {
-            let _ = write!(out, "{t}");
+            push_u64(&mut out, t);
             for col in &self.values {
-                let _ = write!(out, ",{}", col[i]);
+                out.push(',');
+                push_f64(&mut out, col[i]);
             }
             out.push('\n');
         }
@@ -278,14 +281,6 @@ fn retain_even<T: Copy>(v: &mut Vec<T>) {
         keep += 1;
     }
     v.truncate(keep);
-}
-
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
-    }
 }
 
 /// How a flow's span ended. Every span classifies into exactly one
@@ -525,11 +520,13 @@ mod tests {
         let mut s = SamplerSet::new(10, 100);
         s.track(meta("S1:p0 ingress"));
         s.track(meta("weird,name"));
-        s.sample(0, &[5.0, 1.5]);
-        let csv = s.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("t_ps,S1:p0 ingress,\"weird,name\""));
-        assert_eq!(lines.next(), Some("0,5,1.5"));
+        s.track(meta("two\nlines"));
+        s.track(meta("say \"hi\""));
+        s.sample(0, &[5.0, 1.5, -0.0, f64::NAN]);
+        assert_eq!(
+            s.to_csv(),
+            "t_ps,S1:p0 ingress,\"weird,name\",\"two\nlines\",\"say \"\"hi\"\"\"\n0,5,1.5,-0,NaN\n"
+        );
     }
 
     #[test]
