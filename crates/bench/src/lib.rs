@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use gfc_core::json::json_str;
 use gfc_core::units::Time;
 use gfc_sim::Network;
 use gfc_telemetry::names;
@@ -163,10 +164,6 @@ pub fn run_meta() -> RunMeta {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Render one perf-trajectory point as a single JSON line: bench name,
 /// wall-clock unix timestamp, the [`RunMeta`] provenance, mode, and the
 /// per-cell events/s. One line per run is the format guarantee of
@@ -179,17 +176,17 @@ pub fn history_line(bench: &str, meta: &RunMeta, mode: &str, cells: &[(String, f
         .map_or(0, |d| d.as_secs());
     let cells_json: Vec<String> = cells
         .iter()
-        .map(|(n, e)| format!("{{\"name\": \"{}\", \"events_per_sec\": {e:.0}}}", json_escape(n)))
+        .map(|(n, e)| format!("{{\"name\": {}, \"events_per_sec\": {e:.0}}}", json_str(n)))
         .collect();
     format!(
-        "{{\"bench\": \"{}\", \"unix_ts\": {ts}, \"commit\": \"{}\", \"rustc\": \"{}\", \
-         \"cpu_model\": \"{}\", \"cores\": {}, \"mode\": \"{}\", \"cells\": [{}]}}",
-        json_escape(bench),
-        json_escape(&meta.commit),
-        json_escape(&meta.rustc),
-        json_escape(&meta.cpu_model),
+        "{{\"bench\": {}, \"unix_ts\": {ts}, \"commit\": {}, \"rustc\": {}, \
+         \"cpu_model\": {}, \"cores\": {}, \"mode\": {}, \"cells\": [{}]}}",
+        json_str(bench),
+        json_str(&meta.commit),
+        json_str(&meta.rustc),
+        json_str(&meta.cpu_model),
         meta.cores,
-        json_escape(mode),
+        json_str(mode),
         cells_json.join(", ")
     )
 }
@@ -221,13 +218,13 @@ pub fn append_history(
 /// `BENCH_matrix.json` (no trailing comma or newline).
 pub fn meta_json(meta: &RunMeta, mode: &str, runs: usize) -> String {
     format!(
-        "  \"meta\": {{\"commit\": \"{}\", \"rustc\": \"{}\", \"cpu_model\": \"{}\", \
-         \"cores\": {}, \"mode\": \"{}\", \"runs\": {}}}",
-        json_escape(&meta.commit),
-        json_escape(&meta.rustc),
-        json_escape(&meta.cpu_model),
+        "  \"meta\": {{\"commit\": {}, \"rustc\": {}, \"cpu_model\": {}, \
+         \"cores\": {}, \"mode\": {}, \"runs\": {}}}",
+        json_str(&meta.commit),
+        json_str(&meta.rustc),
+        json_str(&meta.cpu_model),
         meta.cores,
-        json_escape(mode),
+        json_str(mode),
         runs,
     )
 }
@@ -238,9 +235,9 @@ pub fn meta_json(meta: &RunMeta, mode: &str, runs: usize) -> String {
 /// a format guarantee — [`parse_cells`] scans line by line.
 pub fn cell_json(m: &Measurement, extra: &str) -> String {
     format!(
-        "{{\"name\": \"{}\", {}\"sim_horizon_ms\": {:.3}, \"events\": {}, \
+        "{{\"name\": {}, {}\"sim_horizon_ms\": {:.3}, \"events\": {}, \
          \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"runs\": {}}}",
-        json_escape(&m.name),
+        json_str(&m.name),
         extra,
         m.sim_horizon_ms,
         m.events,
@@ -525,6 +522,25 @@ mod tests {
         // Each line parses with the same scanner the gate uses (it takes
         // the first cell of the line — enough for a trajectory probe).
         assert_eq!(parse_cells(log.lines().next().unwrap()).len(), 1);
+    }
+
+    #[test]
+    fn history_line_escapes_control_characters_in_meta() {
+        let meta = RunMeta {
+            commit: "abc123".into(),
+            rustc: "rustc 1.0".into(),
+            cpu_model: "Vendor CPU\n@ 2.0GHz\tstepping 7".into(),
+            cores: 2,
+        };
+        let cells = cells(&[("ring3:greedy:pfc", 1.5e6), ("ft_k4:uniform:pfc", 2e6)]);
+        let line = history_line("bench_matrix", &meta, "smoke", &cells);
+        assert!(!line.chars().any(char::is_control), "raw control character in {line:?}");
+        assert!(line.contains("\"cpu_model\": \"Vendor CPU\\n@ 2.0GHz\\u0009stepping 7\""));
+        let points = parse_history(&line);
+        assert_eq!(points.len(), 1, "a history point must be a single line");
+        assert_eq!(points[0].bench, "bench_matrix");
+        assert_eq!(points[0].mode, "smoke");
+        assert_eq!(points[0].cells, cells);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Unified flow-control configuration: one enum-of-structs carrying the
 //! scheme *and* its parameters, and the factory that turns it into a
-//! backend pair ([`crate::backend::FcRx`] / [`crate::backend::FcTx`]).
+//! backend pair ([`AnyRx`] / [`AnyTx`]).
 //!
-//! This supersedes the scattered per-scheme knobs (the old
-//! [`FcMode`](crate::fc_mode::FcMode) plus a side-channel
-//! `gfc_stage_ratio` field on every config struct): each variant owns
-//! every parameter its scheme needs, so adding a scheme touches this file
-//! and nothing else. `From<FcMode>` keeps existing call sites compiling.
+//! Each variant owns every parameter its scheme needs, so adding a
+//! scheme touches this file (a variant, its params struct, and one arm
+//! per factory and dispatch enum) plus the backend pair itself.
 
 use crate::backend::{
     CtrlOutcome, CtrlPayload, DcfitTag, FcRx, FcTx, QueueCtx, SchemeMismatch, Sense, TxHead,
@@ -15,7 +13,6 @@ use crate::bfc::{BfcReceiver, BfcRx, BfcSender, BfcTx};
 use crate::cbfc::BLOCK_BYTES;
 use crate::conceptual::ConceptualSender;
 use crate::dcfit::{DcfitReceiver, DcfitRx, DcfitSender, DcfitTx};
-use crate::fc_mode::FcMode;
 use crate::gfc_buffer::{GfcBufferReceiver, GfcBufferSender};
 use crate::gfc_time::{GfcTimeReceiver, GfcTimeSender};
 use crate::mapping::{LinearMapping, StageTable};
@@ -117,28 +114,6 @@ pub enum FcConfig {
     Dcfit(DcfitParams),
 }
 
-impl From<FcMode> for FcConfig {
-    fn from(mode: FcMode) -> FcConfig {
-        match mode {
-            FcMode::None => FcConfig::None,
-            FcMode::Pfc { xoff, xon } => FcConfig::Pfc(PfcParams { xoff, xon }),
-            FcMode::Cbfc { period } => FcConfig::Cbfc(CbfcParams { period }),
-            FcMode::GfcBuffer { bm, b1 } => {
-                // The legacy side-channel `gfc_stage_ratio` defaulted to
-                // the paper's halving everywhere; configs that tuned it
-                // now set it here directly.
-                FcConfig::GfcBuffer(GfcBufferParams { bm, b1, stage_ratio: (1, 2) })
-            }
-            FcMode::GfcTime { b0, bm, period } => {
-                FcConfig::GfcTime(GfcTimeParams { b0, bm, period })
-            }
-            FcMode::Conceptual { b0, bm, tau } => {
-                FcConfig::Conceptual(ConceptualParams { b0, bm, tau })
-            }
-        }
-    }
-}
-
 impl FcConfig {
     /// Human-readable scheme name.
     pub fn name(&self) -> &'static str {
@@ -186,20 +161,7 @@ impl FcConfig {
     }
 
     /// Build the receiver backend for one watched ingress
-    /// `(port, priority)`, boxed behind the trait. Hot paths that want
-    /// static dispatch use [`FcConfig::make_rx_any`] instead.
-    pub fn make_rx(
-        &self,
-        capacity: Rate,
-        buffer_bytes: u64,
-        mtu: u64,
-        ident: PortIdent,
-    ) -> Box<dyn FcRx> {
-        Box::new(self.make_rx_any(capacity, buffer_bytes, mtu, ident))
-    }
-
-    /// Build the receiver backend as an [`AnyRx`] enum: the same backends
-    /// as [`FcConfig::make_rx`], dispatched by match instead of vtable.
+    /// `(port, priority)`.
     pub fn make_rx_any(
         &self,
         capacity: Rate,
@@ -236,12 +198,6 @@ impl FcConfig {
     /// `(port, priority)`. (The egress rate limiter stays with the
     /// simulator; backends only program it via
     /// [`crate::backend::CtrlOutcome::set_rate`].)
-    pub fn make_tx(&self, capacity: Rate, buffer_bytes: u64, ident: PortIdent) -> Box<dyn FcTx> {
-        Box::new(self.make_tx_any(capacity, buffer_bytes, ident))
-    }
-
-    /// Build the sender backend as an [`AnyTx`] enum: the same backends
-    /// as [`FcConfig::make_tx`], dispatched by match instead of vtable.
     pub fn make_tx_any(&self, capacity: Rate, buffer_bytes: u64, ident: PortIdent) -> AnyTx {
         use crate::backend as be;
         match *self {
@@ -275,8 +231,7 @@ impl FcConfig {
 /// A receiver backend with the built-in schemes inlined as enum variants,
 /// so the per-packet `on_arrival`/`on_drain` calls dispatch by match
 /// (statically, with the common variants branch-predicted) instead of
-/// through a vtable. Out-of-tree backends ride in [`AnyRx::Custom`] and
-/// keep exactly the old boxed-trait behaviour.
+/// through a vtable.
 #[derive(Debug, Clone)]
 pub enum AnyRx {
     /// Lossy (no flow control).
@@ -295,8 +250,6 @@ pub enum AnyRx {
     Bfc(BfcRx),
     /// DCFIT ingress.
     Dcfit(DcfitRx),
-    /// Any out-of-tree backend, boxed (the PR 9 extension point).
-    Custom(Box<dyn FcRx>),
 }
 
 macro_rules! any_rx {
@@ -310,7 +263,6 @@ macro_rules! any_rx {
             AnyRx::Conceptual($inner) => $body,
             AnyRx::Bfc($inner) => $body,
             AnyRx::Dcfit($inner) => $body,
-            AnyRx::Custom($inner) => $body,
         }
     };
 }
@@ -351,10 +303,6 @@ impl FcRx for AnyRx {
     fn messages_sent(&self) -> u64 {
         any_rx!(self, rx => rx.messages_sent())
     }
-
-    fn clone_box(&self) -> Box<dyn FcRx> {
-        Box::new(self.clone())
-    }
 }
 
 /// A sender backend with the built-in schemes inlined as enum variants —
@@ -378,8 +326,6 @@ pub enum AnyTx {
     Bfc(BfcTx),
     /// DCFIT egress.
     Dcfit(DcfitTx),
-    /// Any out-of-tree backend, boxed (the PR 9 extension point).
-    Custom(Box<dyn FcTx>),
 }
 
 macro_rules! any_tx {
@@ -393,7 +339,6 @@ macro_rules! any_tx {
             AnyTx::Conceptual($inner) => $body,
             AnyTx::Bfc($inner) => $body,
             AnyTx::Dcfit($inner) => $body,
-            AnyTx::Custom($inner) => $body,
         }
     };
 }
@@ -433,10 +378,6 @@ impl FcTx for AnyTx {
     fn detections(&self) -> u64 {
         any_tx!(self, tx => tx.detections())
     }
-
-    fn clone_box(&self) -> Box<dyn FcTx> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]
@@ -469,35 +410,10 @@ mod tests {
     }
 
     #[test]
-    fn from_fc_mode_preserves_parameters() {
-        let cases: Vec<(FcMode, FcConfig)> = vec![
-            (FcMode::None, FcConfig::None),
-            (FcMode::Pfc { xoff: 10, xon: 5 }, FcConfig::Pfc(PfcParams { xoff: 10, xon: 5 })),
-            (FcMode::Cbfc { period: Dur(7) }, FcConfig::Cbfc(CbfcParams { period: Dur(7) })),
-            (
-                FcMode::GfcBuffer { bm: 9, b1: 4 },
-                FcConfig::GfcBuffer(GfcBufferParams { bm: 9, b1: 4, stage_ratio: (1, 2) }),
-            ),
-            (
-                FcMode::GfcTime { b0: 1, bm: 2, period: Dur(3) },
-                FcConfig::GfcTime(GfcTimeParams { b0: 1, bm: 2, period: Dur(3) }),
-            ),
-            (
-                FcMode::Conceptual { b0: 1, bm: 2, tau: Dur(3) },
-                FcConfig::Conceptual(ConceptualParams { b0: 1, bm: 2, tau: Dur(3) }),
-            ),
-        ];
-        for (mode, expect) in cases {
-            assert_eq!(FcConfig::from(mode), expect);
-        }
-    }
-
-    #[test]
-    fn classification_matches_legacy_plus_new_schemes() {
+    fn hard_gate_classification() {
         for fc in all_configs() {
-            let legacy_like =
-                matches!(fc, FcConfig::Pfc(_) | FcConfig::Cbfc(_) | FcConfig::Dcfit(_));
-            assert_eq!(fc.has_hard_gate(), legacy_like, "{}", fc.name());
+            let hard = matches!(fc, FcConfig::Pfc(_) | FcConfig::Cbfc(_) | FcConfig::Dcfit(_));
+            assert_eq!(fc.has_hard_gate(), hard, "{}", fc.name());
         }
         assert!(!FcConfig::Bfc(BfcConfig::derive(300_000, 1500)).has_hard_gate());
     }
@@ -508,8 +424,8 @@ mod tests {
         // reports the same scheme name as its sender.
         let cap = Rate::from_gbps(10);
         for fc in all_configs() {
-            let mut rx = fc.make_rx(cap, 300_000, 1500, IDENT);
-            let mut tx = fc.make_tx(cap, 300_000, IDENT);
+            let mut rx = fc.make_rx_any(cap, 300_000, 1500, IDENT);
+            let mut tx = fc.make_tx_any(cap, 300_000, IDENT);
             assert_eq!(rx.scheme(), tx.scheme(), "{}", fc.name());
             let mut out = Vec::new();
             let ctx = QueueCtx { q_bytes: 290_000, pkt_bytes: 1500, flow: 1, inherited_tag: None };
@@ -550,7 +466,7 @@ mod tests {
             ),
         ];
         for fc in &configs {
-            let mut tx = fc.make_tx(cap, 300_000, IDENT);
+            let mut tx = fc.make_tx_any(cap, 300_000, IDENT);
             for (pname, payload) in &payloads {
                 let compatible = match fc {
                     FcConfig::None => false,

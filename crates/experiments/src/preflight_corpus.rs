@@ -17,7 +17,8 @@
 
 use crate::common::{sim_config_testbed, Scheme};
 use gfc_core::units::{kb, Dur};
-use gfc_sim::{FcMode, Report, SimConfig};
+use gfc_sim::config::ConceptualParams;
+use gfc_sim::{FcConfig, Report, SimConfig};
 use gfc_topology::{Incast, Ring, Routing, SparseRing};
 
 /// Every corpus scenario with its expected `has_errors()` verdict — the
@@ -106,8 +107,11 @@ pub fn scenario(name: &str) -> Option<(String, Report)> {
             let inc = Incast::new(2);
             let mut cfg = SimConfig::default_10g();
             cfg.buffer_bytes = kb(100);
-            cfg.fc =
-                FcMode::Conceptual { b0: kb(50), bm: kb(100), tau: Dur::from_micros(25) }.into();
+            cfg.fc = FcConfig::Conceptual(ConceptualParams {
+                b0: kb(50),
+                bm: kb(100),
+                tau: Dur::from_micros(25),
+            });
             let title = "thm41 — conceptual GFC, B0 beyond the Theorem 4.1 bound".to_string();
             Some((title, gfc_sim::preflight(&inc.topo, &Routing::spf(), &cfg)))
         }

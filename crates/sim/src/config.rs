@@ -10,7 +10,6 @@ pub use gfc_core::fc_config::{
     BfcConfig, CbfcParams, ConceptualParams, DcfitParams, FcConfig, GfcBufferParams, GfcTimeParams,
     PfcParams,
 };
-pub use gfc_core::fc_mode::FcMode;
 pub use gfc_telemetry::{TelemetryConfig, TimelineConfig};
 pub use gfc_verify::PreflightPolicy;
 
@@ -49,11 +48,7 @@ pub struct SimConfig {
     pub mtu: u64,
     /// Ingress buffer per (port, priority), bytes.
     pub buffer_bytes: u64,
-    /// The flow-control scheme under test, with its parameters. Legacy
-    /// [`FcMode`] values convert via `.into()` (buffer-based GFC picks up
-    /// the paper's 1/2 stage ratio; tune it through
-    /// [`GfcBufferParams::stage_ratio`] instead of the retired
-    /// `gfc_stage_ratio` side-channel field).
+    /// The flow-control scheme under test, with its parameters.
     pub fc: FcConfig,
     /// Output-sharing discipline of the switches.
     pub pump: PumpPolicy,
@@ -129,16 +124,6 @@ impl SimConfig {
         }
     }
 
-    /// The stage-width ratio of buffer-based GFC's step mapping, read out
-    /// of [`FcConfig::GfcBuffer`]; the paper's 1/2 for every other scheme.
-    #[deprecated(note = "read GfcBufferParams::stage_ratio from SimConfig::fc instead")]
-    pub fn gfc_stage_ratio(&self) -> (u64, u64) {
-        match self.fc {
-            FcConfig::GfcBuffer(p) => p.stage_ratio,
-            _ => (1, 2),
-        }
-    }
-
     /// The physical/flow-control parameters `gfc-verify` analyzes, lifted
     /// out of the full simulator configuration.
     pub fn fabric_spec(&self) -> FabricSpec {
@@ -208,7 +193,7 @@ mod tests {
     #[should_panic(expected = "XON must be below XOFF")]
     fn rejects_bad_pfc() {
         let mut c = SimConfig::default_10g();
-        c.fc = FcMode::Pfc { xoff: 10, xon: 10 }.into();
+        c.fc = FcConfig::Pfc(PfcParams { xoff: 10, xon: 10 });
         c.validate();
     }
 
@@ -245,22 +230,11 @@ mod tests {
     #[should_panic(expected = "Bm beyond buffer")]
     fn rejects_gfc_bm_beyond_buffer() {
         let mut c = SimConfig::default_10g();
-        c.fc = FcMode::GfcBuffer { bm: c.buffer_bytes + 1, b1: 10 }.into();
+        c.fc = FcConfig::GfcBuffer(GfcBufferParams {
+            bm: c.buffer_bytes + 1,
+            b1: 10,
+            stage_ratio: (1, 2),
+        });
         c.validate();
-    }
-
-    #[test]
-    fn legacy_mode_converts() {
-        let mut c = SimConfig::default_10g();
-        c.fc = FcMode::GfcBuffer { bm: 300 * 1024, b1: 281 * 1024 }.into();
-        c.validate();
-        assert_eq!(
-            c.fc,
-            FcConfig::GfcBuffer(GfcBufferParams {
-                bm: 300 * 1024,
-                b1: 281 * 1024,
-                stage_ratio: (1, 2),
-            })
-        );
     }
 }

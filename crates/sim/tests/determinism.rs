@@ -9,9 +9,9 @@
 
 use gfc_core::bfc::BfcConfig;
 use gfc_core::units::{kb, Dur, Time};
-use gfc_sim::config::{DcfitParams, FcConfig, PumpPolicy};
+use gfc_sim::config::{DcfitParams, FcConfig, GfcBufferParams, PfcParams, PumpPolicy};
 use gfc_sim::flowgen::ClosedLoopWorkload;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::{Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::fattree::FatTree;
 use gfc_topology::{Ring, Routing};
@@ -42,7 +42,7 @@ fn run_ring(seed: u64) -> RunFingerprint {
 }
 
 fn run_ring_with(seed: u64, causal: bool) -> RunFingerprint {
-    let fc = FcMode::Pfc { xoff: kb(280), xon: kb(277) }.into();
+    let fc = FcConfig::Pfc(PfcParams { xoff: kb(280), xon: kb(277) });
     run_ring_fc(fc, PumpPolicy::OutputQueued, seed, causal)
 }
 
@@ -68,7 +68,7 @@ fn run_ring_fc(fc: FcConfig, pump: PumpPolicy, seed: u64, causal: bool) -> RunFi
 /// enterprise workload — exercises the arrival lane, SPF routing, stage
 /// feedback, and workload respawning.
 fn run_fattree(seed: u64) -> RunFingerprint {
-    let fc = FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }.into();
+    let fc = FcConfig::GfcBuffer(GfcBufferParams { bm: kb(300), b1: kb(281), stage_ratio: (1, 2) });
     run_fattree_fc(fc, PumpPolicy::RoundRobin, seed)
 }
 

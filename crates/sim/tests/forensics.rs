@@ -3,15 +3,15 @@
 //! verdict, while a clean buffer-based GFC run yields none.
 
 use gfc_core::units::{kb, Dur, Time};
-use gfc_sim::config::PumpPolicy;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TelemetryConfig, TraceConfig};
+use gfc_sim::config::{GfcBufferParams, PfcParams, PumpPolicy};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TelemetryConfig, TraceConfig};
 use gfc_telemetry::ForensicsTrigger;
 use gfc_topology::{Ring, Routing};
 
-fn ring_network(fc: FcMode, pump: PumpPolicy, telemetry: TelemetryConfig) -> Network {
+fn ring_network(fc: FcConfig, pump: PumpPolicy, telemetry: TelemetryConfig) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.progress_window = Dur::from_millis(2);
     cfg.preflight = PreflightPolicy::Acknowledge;
@@ -24,12 +24,12 @@ fn ring_network(fc: FcMode, pump: PumpPolicy, telemetry: TelemetryConfig) -> Net
     net
 }
 
-fn pfc() -> FcMode {
-    FcMode::Pfc { xoff: kb(280), xon: kb(277) }
+fn pfc() -> FcConfig {
+    FcConfig::Pfc(PfcParams { xoff: kb(280), xon: kb(277) })
 }
 
-fn gfc() -> FcMode {
-    FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }
+fn gfc() -> FcConfig {
+    FcConfig::GfcBuffer(GfcBufferParams { bm: kb(300), b1: kb(281), stage_ratio: (1, 2) })
 }
 
 #[test]

@@ -18,18 +18,18 @@
 use gfc_core::params::LinkClass;
 use gfc_core::theorems;
 use gfc_core::units::{kb, Dur, Rate, Time};
-use gfc_sim::config::PumpPolicy;
-use gfc_sim::{FcMode, Network, PreflightPolicy, SimConfig, TraceConfig};
+use gfc_sim::config::{CbfcParams, GfcBufferParams, GfcTimeParams, PfcParams, PumpPolicy};
+use gfc_sim::{FcConfig, Network, PreflightPolicy, SimConfig, TraceConfig};
 use gfc_telemetry::names;
 use gfc_topology::{Ring, Routing};
 
 /// Build the Fig. 1 ring scenario: 3 switches, clockwise two-hop routes,
 /// every host sending an infinite flow at line rate. Parameters follow the
 /// paper's §6.2.2 values (300 KB buffers, 10 Gb/s).
-fn ring_network(fc: FcMode, pump: PumpPolicy, seed: u64) -> Network {
+fn ring_network(fc: FcConfig, pump: PumpPolicy, seed: u64) -> Network {
     let ring = Ring::new(3);
     let mut cfg = SimConfig::default_10g();
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.pump = pump;
     cfg.seed = seed;
     cfg.progress_window = Dur::from_millis(2);
@@ -48,34 +48,34 @@ fn link() -> LinkClass {
     LinkClass::cee(Rate::from_gbps(10))
 }
 
-fn pfc_mode() -> FcMode {
+fn pfc_config() -> FcConfig {
     // Paper §6.2.2: XOFF = 280 KB, XON = 277 KB.
-    FcMode::Pfc { xoff: kb(280), xon: kb(277) }
+    FcConfig::Pfc(PfcParams { xoff: kb(280), xon: kb(277) })
 }
 
-fn gfc_buffer_mode() -> FcMode {
+fn gfc_buffer_config() -> FcConfig {
     // Paper §6.2.2: B1 = 281 KB of a 300 KB buffer — a few packets of
     // slack below the Bm − 2·C·τ bound.
     let bound = theorems::buffer_based_b1_bound(kb(300), link().capacity, link().tau()).unwrap();
     let b1 = kb(281);
     assert!(b1 <= bound, "paper B1 must satisfy the bound");
-    FcMode::GfcBuffer { bm: kb(300), b1 }
+    FcConfig::GfcBuffer(GfcBufferParams { bm: kb(300), b1, stage_ratio: (1, 2) })
 }
 
-fn cbfc_mode() -> FcMode {
-    FcMode::Cbfc { period: theorems::cbfc_recommended_period(link().capacity) }
+fn cbfc_config() -> FcConfig {
+    FcConfig::Cbfc(CbfcParams { period: theorems::cbfc_recommended_period(link().capacity) })
 }
 
-fn gfc_time_mode() -> FcMode {
+fn gfc_time_config() -> FcConfig {
     // Paper §6.2.2: B0 = 159 KB of a 300 KB buffer (below the Theorem 5.1
     // bound for these parameters).
     let period = theorems::cbfc_recommended_period(link().capacity);
-    FcMode::GfcTime { b0: kb(159), bm: kb(300), period }
+    FcConfig::GfcTime(GfcTimeParams { b0: kb(159), bm: kb(300), period })
 }
 
 #[test]
 fn pfc_deadlocks_on_the_ring() {
-    let mut net = ring_network(pfc_mode(), PumpPolicy::OutputQueued, 7);
+    let mut net = ring_network(pfc_config(), PumpPolicy::OutputQueued, 7);
     net.run_until(Time::from_millis(20));
     assert_eq!(net.stats().drops, 0, "PFC must stay lossless even while deadlocking");
     assert!(net.deadlocked(), "PFC on the clockwise ring must deadlock");
@@ -89,7 +89,7 @@ fn pfc_deadlocks_on_the_ring() {
 
 #[test]
 fn cbfc_deadlocks_on_the_ring() {
-    let mut net = ring_network(cbfc_mode(), PumpPolicy::OutputQueued, 7);
+    let mut net = ring_network(cbfc_config(), PumpPolicy::OutputQueued, 7);
     net.run_until(Time::from_millis(20));
     assert_eq!(net.stats().drops, 0);
     assert!(net.structurally_deadlocked(), "CBFC on the clockwise ring must deadlock");
@@ -98,7 +98,7 @@ fn cbfc_deadlocks_on_the_ring() {
 
 #[test]
 fn gfc_buffer_keeps_the_ring_alive() {
-    let mut net = ring_network(gfc_buffer_mode(), PumpPolicy::RoundRobin, 7);
+    let mut net = ring_network(gfc_buffer_config(), PumpPolicy::RoundRobin, 7);
     let horizon = Time::from_millis(20);
     net.run_until(horizon);
     assert_eq!(net.stats().drops, 0, "GFC must be lossless");
@@ -114,7 +114,7 @@ fn gfc_buffer_keeps_the_ring_alive() {
 
 #[test]
 fn gfc_time_keeps_the_ring_alive() {
-    let mut net = ring_network(gfc_time_mode(), PumpPolicy::RoundRobin, 7);
+    let mut net = ring_network(gfc_time_config(), PumpPolicy::RoundRobin, 7);
     let horizon = Time::from_millis(20);
     net.run_until(horizon);
     assert_eq!(net.stats().drops, 0, "time-based GFC must be lossless");
@@ -131,7 +131,7 @@ fn gfc_never_forms_a_waitfor_cycle_under_either_discipline() {
     // where its throughput degrades: ports are never hard-blocked, so no
     // structural deadlock can form.
     for pump in [PumpPolicy::OutputQueued, PumpPolicy::RoundRobin] {
-        let mut net = ring_network(gfc_buffer_mode(), pump, 7);
+        let mut net = ring_network(gfc_buffer_config(), pump, 7);
         net.run_until(Time::from_millis(20));
         assert!(
             !net.structurally_deadlocked(),
@@ -147,12 +147,12 @@ fn gfc_never_forms_a_waitfor_cycle_under_either_discipline() {
 
 #[test]
 fn baselines_enter_hold_and_wait() {
-    let mut pfc = ring_network(pfc_mode(), PumpPolicy::OutputQueued, 3);
+    let mut pfc = ring_network(pfc_config(), PumpPolicy::OutputQueued, 3);
     pfc.run_until(Time::from_millis(10));
     let pfc_episodes = pfc.metrics_snapshot().counter(names::HOLD_AND_WAIT).unwrap_or(0);
     assert!(pfc_episodes > 0, "PFC must pause upstream ports");
 
-    let mut cbfc = ring_network(cbfc_mode(), PumpPolicy::OutputQueued, 3);
+    let mut cbfc = ring_network(cbfc_config(), PumpPolicy::OutputQueued, 3);
     cbfc.run_until(Time::from_millis(10));
     assert!(
         cbfc.metrics_snapshot().counter(names::HOLD_AND_WAIT).unwrap_or(0) > 0,
@@ -163,7 +163,7 @@ fn baselines_enter_hold_and_wait() {
 #[test]
 fn runs_are_deterministic() {
     let run = |seed| {
-        let mut net = ring_network(gfc_buffer_mode(), PumpPolicy::RoundRobin, seed);
+        let mut net = ring_network(gfc_buffer_config(), PumpPolicy::RoundRobin, seed);
         net.run_until(Time::from_millis(5));
         (
             net.stats().delivered_packets,
@@ -178,10 +178,10 @@ fn runs_are_deterministic() {
 #[test]
 fn larger_rings_behave_the_same() {
     // 5-switch ring: same qualitative split.
-    let build = |fc: FcMode, pump| {
+    let build = |fc: FcConfig, pump| {
         let ring = Ring::new(5);
         let mut cfg = SimConfig::default_10g();
-        cfg.fc = fc.into();
+        cfg.fc = fc;
         cfg.pump = pump;
         cfg.progress_window = Dur::from_millis(2);
         cfg.preflight = PreflightPolicy::Acknowledge;
@@ -192,10 +192,10 @@ fn larger_rings_behave_the_same() {
         }
         net
     };
-    let mut pfc = build(pfc_mode(), PumpPolicy::OutputQueued);
+    let mut pfc = build(pfc_config(), PumpPolicy::OutputQueued);
     pfc.run_until(Time::from_millis(20));
     assert!(pfc.structurally_deadlocked(), "PFC must deadlock on the 5-ring");
-    let mut gfc = build(gfc_buffer_mode(), PumpPolicy::RoundRobin);
+    let mut gfc = build(gfc_buffer_config(), PumpPolicy::RoundRobin);
     gfc.run_until(Time::from_millis(20));
     assert!(!gfc.deadlocked(), "GFC must keep the 5-ring alive");
     assert_eq!(gfc.stats().drops, 0);
@@ -214,7 +214,7 @@ fn cbfc_deadlocks_even_under_fair_switching_with_staggered_starts() {
     for seed in 1u64..=16 {
         let ring = Ring::new(3);
         let mut cfg = SimConfig::default_10g();
-        cfg.fc = cbfc_mode().into();
+        cfg.fc = cbfc_config();
         cfg.pump = PumpPolicy::RoundRobin;
         cfg.seed = seed;
         cfg.progress_window = Dur::from_millis(2);

@@ -35,8 +35,9 @@
 //! depth is 0 by construction, while PFC's pause trees deepen hop by hop
 //! with a lag of roughly the feedback delay τ per hop.
 
-use crate::registry::{names, push_json_str, Snapshot};
+use crate::registry::{names, Snapshot};
 use core::fmt::Write as _;
+use gfc_core::json::push_json_str;
 use std::collections::HashMap;
 
 /// Lineage tag carried by a control message: the id of the episode the

@@ -39,13 +39,13 @@
 //!
 //! Rendering therefore costs about one copy of the document: the output
 //! `String`, plus the small sparse body. Every number goes through one
-//! exact writer, [`push_f64`]: integral values below 2^53 take an integer
+//! exact writer, `push_f64`: integral values below 2^53 take an integer
 //! path, all others `Display`, so the bytes equal `format!("{v}")`.
 
 use crate::causal::CausalReport;
 use crate::recorder::{EventRecord, RecordKind};
-use crate::registry::push_json_str;
 use crate::timeline::{FlowSpan, FlowSpans, SamplerSet, SpanOutcome};
+use gfc_core::json::push_json_str;
 use std::fmt::Write as _;
 
 /// Document head. Every event after it ends in [`SEP`]; `to_json` turns

@@ -13,6 +13,7 @@
 //! `SimStats`) before exporting to JSON or CSV.
 
 use core::fmt::Write as _;
+use gfc_core::json::push_json_str;
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -446,33 +447,6 @@ impl core::fmt::Display for Percentiles {
     }
 }
 
-/// Append `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped, everything else copied through in runs.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let short = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            0..=0x1f => None,
-            _ => continue,
-        };
-        // Only ASCII bytes stop a run, so `i` is a char boundary.
-        out.push_str(&s[run..i]);
-        match short {
-            Some(esc) => out.push_str(esc),
-            None => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
-}
-
 /// Append `s` as one RFC 4180 CSV field: quoted, with quotes doubled,
 /// when it holds a comma, a quote or a line break; verbatim otherwise.
 pub(crate) fn push_csv_field(out: &mut String, s: &str) {
@@ -730,13 +704,6 @@ mod tests {
         assert!(csv.contains("occ,le_8,1\n"));
         assert!(csv.contains("occ,le_inf,1\n"));
         assert!(csv.contains("occ,sum,16\n"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let mut out = String::from("x=");
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}é\t");
-        assert_eq!(out, "x=\"a\\\"b\\\\c\\nd\\u0001é\\u0009\"");
     }
 
     #[test]

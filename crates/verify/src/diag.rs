@@ -1,5 +1,6 @@
 //! The diagnostic model: stable codes, severities, and the report.
 
+use gfc_core::json::json_str;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -277,9 +278,9 @@ impl Report {
                  \"message\": {}, \"hint\": {}}}",
                 d.code,
                 d.severity,
-                json_string(&d.subject),
-                json_string(&d.message),
-                json_string(&d.hint)
+                json_str(&d.subject),
+                json_str(&d.message),
+                json_str(&d.hint)
             ));
         }
         if !self.diags.is_empty() {
@@ -306,7 +307,7 @@ impl Report {
             out.push_str(&format!(
                 "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": {}}}}}",
                 code,
-                json_string(code.title())
+                json_str(code.title())
             ));
         }
         out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
@@ -325,8 +326,8 @@ impl Report {
                  [{{\"name\": {}}}]}}]}}",
                 d.code,
                 level,
-                json_string(&format!("{} (help: {})", d.message, d.hint)),
-                json_string(&d.subject)
+                json_str(&format!("{} (help: {})", d.message, d.hint)),
+                json_str(&d.subject)
             ));
         }
         if !self.diags.is_empty() {
@@ -335,25 +336,6 @@ impl Report {
         out.push_str("]\n    }\n  ]\n}\n");
         out
     }
-}
-
-/// Escape `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -447,11 +429,5 @@ mod tests {
         let r = Report::new();
         assert!(r.to_json().contains("\"diagnostics\": []"), "{}", r.to_json());
         assert!(r.to_sarif().contains("\"results\": []"), "{}", r.to_sarif());
-    }
-
-    #[test]
-    fn json_string_escapes_controls() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

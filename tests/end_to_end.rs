@@ -5,18 +5,18 @@
 use gfc::prelude::*;
 use gfc_sim::config::PumpPolicy;
 
-fn base_cfg(fc: FcMode, seed: u64) -> SimConfig {
+fn base_cfg(fc: FcConfig, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::default_10g();
     // Packet-granular stage crossings can overshoot Bm by a few frames in
     // coupled scenarios; keep the experiments' 4-MTU headroom above Bm.
     cfg.buffer_bytes = kb(300) + 4 * 1500;
-    cfg.fc = fc.into();
+    cfg.fc = fc;
     cfg.seed = seed;
     cfg
 }
 
-fn gfc_mode() -> FcMode {
-    FcMode::GfcBuffer { bm: kb(300), b1: kb(281) }
+fn gfc_config() -> FcConfig {
+    FcConfig::GfcBuffer(GfcBufferParams { bm: kb(300), b1: kb(281), stage_ratio: (1, 2) })
 }
 
 #[test]
@@ -29,7 +29,7 @@ fn closed_loop_enterprise_on_failed_fat_tree_completes_flows() {
     let mut net = Network::new(
         ft.topo.clone(),
         Routing::spf(),
-        base_cfg(gfc_mode(), 99),
+        base_cfg(gfc_config(), 99),
         TraceConfig::none(),
     );
     net.install_workload(Box::new(ClosedLoopWorkload {
@@ -55,10 +55,10 @@ fn all_schemes_are_lossless_under_incast() {
     use gfc_core::theorems::cbfc_recommended_period;
     let period = cbfc_recommended_period(Rate::from_gbps(10));
     let schemes = [
-        FcMode::Pfc { xoff: kb(280), xon: kb(277) },
-        FcMode::Cbfc { period },
-        FcMode::GfcBuffer { bm: kb(300), b1: kb(281) },
-        FcMode::GfcTime { b0: kb(159), bm: kb(300), period },
+        FcConfig::Pfc(PfcParams { xoff: kb(280), xon: kb(277) }),
+        FcConfig::Cbfc(CbfcParams { period }),
+        FcConfig::GfcBuffer(GfcBufferParams { bm: kb(300), b1: kb(281), stage_ratio: (1, 2) }),
+        FcConfig::GfcTime(GfcTimeParams { b0: kb(159), bm: kb(300), period }),
     ];
     for fc in schemes {
         for senders in [2usize, 4, 8] {
@@ -92,7 +92,7 @@ fn incast_fair_share_is_respected() {
     let mut net = Network::new(
         inc.topo.clone(),
         Routing::spf(),
-        base_cfg(gfc_mode(), 6),
+        base_cfg(gfc_config(), 6),
         TraceConfig::none(),
     );
     for &s in &inc.senders {
@@ -113,7 +113,7 @@ fn incast_fair_share_is_respected() {
 fn output_queued_and_round_robin_both_work_when_uncongested() {
     for pump in [PumpPolicy::OutputQueued, PumpPolicy::RoundRobin, PumpPolicy::ArrivalOrder] {
         let ft = FatTree::new(4);
-        let mut cfg = base_cfg(gfc_mode(), 7);
+        let mut cfg = base_cfg(gfc_config(), 7);
         cfg.pump = pump;
         let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
         // A permutation at half load: no congestion, all finish fast.
@@ -130,7 +130,7 @@ fn output_queued_and_round_robin_both_work_when_uncongested() {
 fn multi_priority_queues_isolate_traffic() {
     // Two priorities on a 2-to-1 incast: per-priority GFC feedback.
     let inc = Incast::new(2);
-    let mut cfg = base_cfg(gfc_mode(), 8);
+    let mut cfg = base_cfg(gfc_config(), 8);
     cfg.num_priorities = 2;
     let mut net = Network::new(inc.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
     net.start_flow(inc.senders[0], inc.receiver, Some(2_000_000), 0).expect("route");
@@ -143,8 +143,14 @@ fn multi_priority_queues_isolate_traffic() {
 #[test]
 fn conceptual_gfc_runs_end_to_end() {
     let inc = Incast::new(2);
-    let mut cfg =
-        base_cfg(FcMode::Conceptual { b0: kb(50), bm: kb(100), tau: Dur::from_micros(10) }, 9);
+    let mut cfg = base_cfg(
+        FcConfig::Conceptual(ConceptualParams {
+            b0: kb(50),
+            bm: kb(100),
+            tau: Dur::from_micros(10),
+        }),
+        9,
+    );
     cfg.buffer_bytes = kb(120);
     let mut net = Network::new(inc.topo.clone(), Routing::spf(), cfg, TraceConfig::none());
     for &s in &inc.senders {
@@ -173,7 +179,7 @@ fn unroutable_destinations_are_skipped_gracefully() {
     let mut net = Network::new(
         ft.topo.clone(),
         Routing::spf(),
-        base_cfg(gfc_mode(), 10),
+        base_cfg(gfc_config(), 10),
         TraceConfig::none(),
     );
     // Direct attempt across the partition fails cleanly.
