@@ -41,6 +41,7 @@
 
 pub mod config;
 pub mod event;
+mod fabric;
 pub mod fc;
 pub mod flowgen;
 pub mod network;

@@ -21,6 +21,7 @@
 
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
+use crate::fabric::Fabric;
 use crate::fc::{CtrlPayload, Gate, QueueCtx, Sense, TxHead};
 use crate::flowgen::{FlowRequest, Workload};
 use crate::packet::Packet;
@@ -34,11 +35,11 @@ use gfc_core::units::{Dur, Rate, Time};
 use gfc_core::FcRx;
 use gfc_dcqcn::{CnpGenerator, ReactionPoint};
 use gfc_telemetry::{
-    names, CausalReport, CauseToken, ChromeTrace, CtrlSense, FlightRecorder, FlowSpans,
-    ForensicsReport, ForensicsTrigger, Percentiles, PortOccupancy, SamplerSet, Snapshot,
+    names, CausalReport, CauseToken, ChromeTrace, CtrlSense, EngineProbe, FlightRecorder,
+    FlowSpans, ForensicsReport, ForensicsTrigger, Percentiles, PortOccupancy, SamplerSet, Snapshot,
     WaitForGraph, WfSide,
 };
-use gfc_topology::{LinkId, NodeId, NodeKind, Routing, Topology};
+use gfc_topology::{LinkId, NodeId, NodeKind, Partition, Routing, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -58,7 +59,6 @@ struct HostFlow {
 /// Host device state.
 #[derive(Debug, Default)]
 struct HostState {
-    index: usize,
     flows: Vec<HostFlow>,
     rr: usize,
     tick_at: Option<Time>,
@@ -96,12 +96,108 @@ pub struct SimStats {
     pub ctrl_bytes: u64,
 }
 
-/// The simulator.
+impl<'a> std::iter::Sum<&'a SimStats> for SimStats {
+    fn sum<I: Iterator<Item = &'a SimStats>>(iter: I) -> SimStats {
+        iter.fold(SimStats::default(), |acc, s| SimStats {
+            delivered_packets: acc.delivered_packets + s.delivered_packets,
+            delivered_bytes: acc.delivered_bytes + s.delivered_bytes,
+            drops: acc.drops + s.drops,
+            ctrl_msgs: acc.ctrl_msgs + s.ctrl_msgs,
+            ctrl_bytes: acc.ctrl_bytes + s.ctrl_bytes,
+        })
+    }
+}
+
+/// The run's deadlock verdicts and the state that produces them, ticked
+/// at the monitor cadence by whoever owns the run's monitor: the
+/// sequential engine's `MonitorTick` handler, or the sharded
+/// coordinator's barrier over merged state. A tick is [`Self::sample`],
+/// then the wait-for check if it is due, then [`Self::dead`].
+#[derive(Debug)]
+pub(crate) struct MonitorVerdict {
+    pub(crate) monitor: ProgressMonitor,
+    /// Delivered-packet count at the previous tick.
+    last_delivered: u64,
+    /// First observation of a wait-for cycle during a stalled tick.
+    pub(crate) structural_at: Option<Time>,
+}
+
+impl MonitorVerdict {
+    pub(crate) fn new(progress_window: Dur) -> Self {
+        let monitor = ProgressMonitor::new(progress_window.0);
+        MonitorVerdict { monitor, last_delivered: 0, structural_at: None }
+    }
+
+    /// Feed one tick's fabric-wide delivered count and backlog. Returns
+    /// whether the structural wait-for check is due: only on stalled
+    /// ticks (backlogged, nothing delivered since the previous tick —
+    /// free when healthy) and only until the first cycle is seen.
+    pub(crate) fn sample(&mut self, now: Time, delivered: u64, backlogged: bool) -> bool {
+        let progressed = delivered > self.last_delivered;
+        self.last_delivered = delivered;
+        self.monitor.sample(now.0, delivered, backlogged);
+        self.structural_at.is_none() && backlogged && !progressed
+    }
+
+    /// Either verdict has landed (the `stop_on_deadlock` trigger).
+    pub(crate) fn dead(&self) -> bool {
+        self.monitor.deadlocked() || self.structural_at.is_some()
+    }
+}
+
+/// Push the derived snapshot entries — the simulator's own accounting,
+/// summed over `domains` — in the one order both engines' snapshots
+/// share. `snap` must already hold the (merged) registry entries.
+pub(crate) fn push_derived_entries(snap: &mut Snapshot, now: Time, domains: &[Network]) {
+    let sum = |f: fn(&Network) -> u64| domains.iter().map(f).sum::<u64>();
+    let stats: SimStats = domains.iter().map(Network::stats).sum();
+    snap.push_counter(names::SIM_TIME_PS, now.0);
+    snap.push_counter(names::DELIVERED_PACKETS, stats.delivered_packets);
+    snap.push_counter(names::DELIVERED_BYTES, stats.delivered_bytes);
+    snap.push_counter(names::DROPS, stats.drops);
+    snap.push_counter(names::CTRL_MSGS, stats.ctrl_msgs);
+    snap.push_counter(names::CTRL_BYTES, stats.ctrl_bytes);
+    snap.push_counter(names::HOLD_AND_WAIT, sum(Network::sum_hold_and_wait));
+    snap.push_counter(names::FEEDBACK_GENERATED, sum(Network::sum_feedback_generated));
+    let ingress = sum(Network::ingress_bytes_total);
+    snap.push_counter(names::INGRESS_BYTES, ingress);
+    snap.push_counter(names::BACKLOG_BYTES, ingress + sum(Network::egress_bytes_total));
+    if now.0 > 0 {
+        if let Some(events) = snap.counter(names::EVENTS) {
+            let per_sec = events as f64 / now.as_secs_f64();
+            snap.push_counter(names::EVENTS_PER_SIM_SEC, per_sec as u64);
+        }
+    }
+}
+
+/// Fold the event queue's push counters and instantaneous occupancies
+/// into `p` (a free function over the fields it reads, so the monitor
+/// tick can refresh the live probe while the snapshot refreshes a copy).
+fn refresh_probe(p: &mut EngineProbe, queue: &EventQueue, ports: &PortTable) {
+    let qs = queue.stats();
+    p.pushes_inline = qs.pushes_inline;
+    p.pushes_pooled = qs.pushes_pooled;
+    p.pool_grown = qs.pool_grown;
+    p.queue_sample(
+        queue.heap_len() as u64,
+        queue.lane_lens().map(|l| l as u64),
+        queue.pool_slots() as u64,
+        queue.free_slots() as u64,
+        ports.ctrl_backlog_frames(),
+    );
+}
+
+/// The simulator: the mutable state of one domain over a shared,
+/// immutable fabric (topology, config, lookup tables, preflight report).
+/// The sequential engine is the one-domain case.
 pub struct Network {
-    /// The topology being simulated (immutable during a run).
-    pub topo: Topology,
-    cfg: SimConfig,
+    /// Topology, config and lookup tables, shared by every domain.
+    fabric: Arc<Fabric>,
+    /// The domain this instance animates: the nodes `n` with
+    /// `fabric.domain_of[n] == domain`.
+    domain: u32,
     routing: Routing,
+    /// Ports of this domain's nodes; foreign nodes have empty slices.
     ports: PortTable,
     /// Per-node rotating offset for fair ingress pumping.
     pump_rr: Vec<usize>,
@@ -129,15 +225,8 @@ pub struct Network {
     /// after a head unblocks by other means — a spurious wake is a
     /// harmless re-check.
     head_waiters: Vec<Box<[u64]>>,
-    /// Per-link `(a, port on a, port on b)`: O(1) next-hop port lookup on
-    /// the per-hop forwarding path (replaces the adjacency scan).
-    link_ports: Vec<(NodeId, u16, u16)>,
     /// Host state, dense by host index (`host_list` order).
     hosts: Vec<HostState>,
-    /// NodeId → host index (`u32::MAX` for switches). NodeIds are dense,
-    /// so this is a straight table lookup on the delivery hot path.
-    host_of_node: Vec<u32>,
-    host_list: Vec<NodeId>,
     queue: EventQueue,
     now: Time,
     rng: StdRng,
@@ -147,19 +236,13 @@ pub struct Network {
     /// — the property that lets a sharded run reproduce the sequential
     /// engine's draws exactly.
     ecn_seq: Vec<u64>,
-    /// Sharded-mode node filter: `Some((domain_of, my_domain))` when this
-    /// network instance is one shard of a partitioned run. Events
-    /// targeting nodes of other domains divert to [`Self::outbox`]
-    /// instead of the local queue; `None` (the sequential engine) keeps
-    /// everything local.
-    domain_filter: Option<(Arc<[u32]>, u32)>,
     /// Cross-domain events generated this window, in generation order.
     outbox: Vec<(Time, Event)>,
     /// Scratch buffer for same-instant batch dispatch (reused).
     batch: Vec<Event>,
     workload: Option<Box<dyn Workload>>,
     ledger: FlowLedger,
-    monitor: ProgressMonitor,
+    verdict: MonitorVerdict,
     traces: Traces,
     trace_cfg: TraceConfig,
     /// Flow metadata, dense by flow id (ids are assigned 0, 1, 2, …).
@@ -169,15 +252,9 @@ pub struct Network {
     stats: SimStats,
     started: bool,
     halted: bool,
-    /// Delivered-packet count at the previous monitor tick.
-    last_monitor_delivered: u64,
-    /// First observation of a wait-for cycle during a stalled tick.
-    structural_deadlock_at: Option<Time>,
     /// First runtime deadlock detection raised by the flow-control backend
     /// itself (DCFIT's initial-trigger check), if any.
     first_fc_detection_at: Option<Time>,
-    /// The static preflight report (None when the policy was `Skip`).
-    preflight_report: Option<gfc_verify::Report>,
     /// Observability state: metrics registry, flight recorder, forensics.
     tel: SimTelemetry,
 }
@@ -196,46 +273,37 @@ impl Network {
     /// configurations on purpose (the Fig. 9/12 deadlock studies) set
     /// [`PreflightPolicy::Acknowledge`](gfc_verify::PreflightPolicy).
     pub fn new(topo: Topology, routing: Routing, cfg: SimConfig, trace_cfg: TraceConfig) -> Self {
-        let preflight_report = match cfg.preflight {
-            gfc_verify::PreflightPolicy::Skip => None,
-            policy => {
-                let report = gfc_verify::preflight(&topo, &routing, &cfg.fabric_spec());
-                if policy == gfc_verify::PreflightPolicy::Enforce && report.has_errors() {
-                    panic!(
-                        "preflight rejected this configuration (set SimConfig::preflight to \
-                         PreflightPolicy::Acknowledge to run it anyway):\n{}",
-                        report.render()
-                    );
-                }
-                Some(report)
-            }
-        };
-        cfg.validate();
+        let single = Partition::single(topo.num_nodes());
+        let fabric = Fabric::new(topo, &routing, cfg, &single);
+        Network::for_domain(Arc::new(fabric), routing, 0, trace_cfg)
+    }
+
+    /// Build the mutable state of `domain` over a shared fabric: ports,
+    /// head-of-line waiters and timeline tracks for that domain's nodes
+    /// only; every other node gets an empty port slice.
+    pub(crate) fn for_domain(
+        fabric: Arc<Fabric>,
+        routing: Routing,
+        domain: u32,
+        trace_cfg: TraceConfig,
+    ) -> Self {
+        let topo = &fabric.topo;
+        let cfg = &fabric.cfg;
         let num_nodes = topo.num_nodes();
-        assert!(
-            num_nodes < (1 << 20),
-            "node count exceeds the canonical dispatch-rank field (2^20)"
-        );
-        let mut nested: Vec<Vec<PortState>> = Vec::with_capacity(topo.num_nodes());
+        let mut nested: Vec<Vec<PortState>> = Vec::with_capacity(num_nodes);
         for n in topo.node_ids() {
             let mut node_ports = Vec::new();
-            for (idx, &(peer, link)) in topo.ports(n).iter().enumerate() {
-                let peer_port = topo.port_of(peer, link);
-                let ident =
-                    PortIdent { node: n.0, port: u16::try_from(idx).expect("port index fits u16") };
-                node_ports.push(PortState::new(&cfg, ident, link, peer, peer_port));
+            if fabric.domain_of[n.0 as usize] == domain {
+                for (idx, &(peer, link)) in topo.ports(n).iter().enumerate() {
+                    let peer_port = topo.port_of(peer, link);
+                    let port = u16::try_from(idx).expect("port index fits u16");
+                    let ident = PortIdent { node: n.0, port };
+                    node_ports.push(PortState::new(cfg, ident, link, peer, peer_port));
+                }
             }
             nested.push(node_ports);
         }
         let ports = PortTable::new(nested);
-        let host_list = topo.hosts();
-        let mut host_of_node = vec![u32::MAX; topo.num_nodes()];
-        let mut hosts = Vec::with_capacity(host_list.len());
-        for (i, &h) in host_list.iter().enumerate() {
-            host_of_node[h.0 as usize] = u32::try_from(i).expect("host count fits u32");
-            hosts.push(HostState { index: i, ..Default::default() });
-        }
-        let monitor = ProgressMonitor::new(cfg.progress_window.0);
         let mut tel = SimTelemetry::new(&cfg.telemetry, cfg.buffer_bytes, cfg.capacity.0);
         // Register the timeline sampler tracks in the same (node, port)
         // order the sampler tick will walk the port table.
@@ -244,47 +312,31 @@ impl Network {
                 tel.register_timeline_port(n, p, &format!("{}:p{p}", topo.node(n).name));
             }
         }
-        let traces = Traces::for_config(&trace_cfg);
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let pump_rr = vec![0; ports.num_nodes()];
-        let arrival_seq = vec![0u64; ports.num_nodes()];
         let ing_pending =
             ports.nodes().map(|np| if np.len() > 64 { u64::MAX } else { 0 }).collect();
-        let ing_blocked = vec![0; ports.num_nodes()];
         let head_waiters = ports.nodes().map(|np| vec![0; np.len()].into_boxed_slice()).collect();
-        let link_ports = topo
-            .link_ids()
-            .map(|l| {
-                let link = topo.link(l);
-                let pa = u16::try_from(topo.port_of(link.a, l)).expect("port index fits u16");
-                let pb = u16::try_from(topo.port_of(link.b, l)).expect("port index fits u16");
-                (link.a, pa, pb)
-            })
-            .collect();
         Network {
-            topo,
+            domain,
             routing,
-            ports,
-            pump_rr,
-            arrival_seq,
+            pump_rr: vec![0; num_nodes],
+            arrival_seq: vec![0; num_nodes],
             ing_pending,
-            ing_blocked,
+            ing_blocked: vec![0; num_nodes],
             head_waiters,
-            link_ports,
-            hosts,
-            host_of_node,
-            host_list,
+            ports,
+            hosts: std::iter::repeat_with(HostState::default)
+                .take(fabric.host_list.len())
+                .collect(),
             queue: EventQueue::new(),
             now: Time::ZERO,
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             ecn_seq: vec![0; num_nodes],
-            domain_filter: None,
             outbox: Vec::new(),
             batch: Vec::new(),
             workload: None,
             ledger: FlowLedger::new(),
-            monitor,
-            traces,
+            verdict: MonitorVerdict::new(cfg.progress_window),
+            traces: Traces::for_config(&trace_cfg),
             trace_cfg,
             flows: Vec::new(),
             next_flow_id: 0,
@@ -292,19 +344,16 @@ impl Network {
             stats: SimStats::default(),
             started: false,
             halted: false,
-            last_monitor_delivered: 0,
-            structural_deadlock_at: None,
             first_fc_detection_at: None,
-            preflight_report,
             tel,
-            cfg,
+            fabric,
         }
     }
 
     /// The static preflight report computed when this network was built
     /// (`None` when `cfg.preflight` was [`gfc_verify::PreflightPolicy::Skip`]).
     pub fn preflight_report(&self) -> Option<&gfc_verify::Report> {
-        self.preflight_report.as_ref()
+        self.fabric.preflight.as_ref()
     }
 
     /// The condensed static verdict, for printing next to runtime deadlock
@@ -313,42 +362,18 @@ impl Network {
     /// `deadlock_susceptible` vs. `exact_deadlock_free` split: the former
     /// predicts the run wedges, the latter certifies it cannot.
     pub fn static_verdict(&self) -> Option<gfc_verify::StaticVerdict> {
-        self.preflight_report.as_ref().map(gfc_verify::Report::verdict)
+        self.preflight_report().map(gfc_verify::Report::verdict)
     }
 
-    /// Whether `node` is a host, via the dense host table (the `Node`
-    /// metadata record carries a name `String`; keep it off the per-event
-    /// dispatch path).
-    #[inline]
-    fn is_host(&self, node: NodeId) -> bool {
-        self.host_of_node[node.0 as usize] != u32::MAX
-    }
-
-    /// The port `link` occupies on `node` (O(1), unlike
-    /// [`Topology::port_of`]'s adjacency scan — this sits on the per-hop
-    /// forwarding path).
-    #[inline]
-    fn out_port(&self, node: NodeId, link: LinkId) -> usize {
-        let (a, pa, pb) = self.link_ports[link.0 as usize];
-        if node == a {
-            pa as usize
-        } else {
-            pb as usize
-        }
-    }
-
-    /// The host state of `node`. Panics if `node` is not a host.
-    #[inline]
-    fn host(&self, node: NodeId) -> &HostState {
-        let idx = self.host_of_node[node.0 as usize];
-        debug_assert_ne!(idx, u32::MAX, "{node:?} is not a host");
-        &self.hosts[idx as usize]
+    /// The topology being simulated (immutable during a run).
+    pub fn topo(&self) -> &Topology {
+        &self.fabric.topo
     }
 
     /// Mutable host state of `node`. Panics if `node` is not a host.
     #[inline]
     fn host_mut(&mut self, node: NodeId) -> &mut HostState {
-        let idx = self.host_of_node[node.0 as usize];
+        let idx = self.fabric.host_of_node[node.0 as usize];
         debug_assert_ne!(idx, u32::MAX, "{node:?} is not a host");
         &mut self.hosts[idx as usize]
     }
@@ -385,13 +410,13 @@ impl Network {
     /// pathological near-zero-rate crawls; see
     /// [`Self::structurally_deadlocked`] for the strict verdict.
     pub fn deadlocked(&self) -> bool {
-        self.monitor.deadlocked()
+        self.verdict.monitor.deadlocked()
     }
 
     /// When the fatal stall began, if a progress-monitor verdict was
     /// reached.
     pub fn deadlock_at(&self) -> Option<Time> {
-        self.monitor.deadlock_at_ps().map(Time)
+        self.verdict.monitor.deadlock_at_ps().map(Time)
     }
 
     /// Strict deadlock verdict in the paper's sense (§1): a circular
@@ -399,12 +424,12 @@ impl Network {
     /// was observed while the network made no progress. GFC provably never
     /// reaches this state (its ports are never hard-blocked).
     pub fn structurally_deadlocked(&self) -> bool {
-        self.structural_deadlock_at.is_some()
+        self.verdict.structural_at.is_some()
     }
 
     /// When the structural deadlock was first observed.
     pub fn structural_deadlock_at(&self) -> Option<Time> {
-        self.structural_deadlock_at
+        self.verdict.structural_at
     }
 
     /// Runtime deadlock detections raised by the flow-control backend
@@ -421,7 +446,7 @@ impl Network {
 
     /// The configuration in force.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.fabric.cfg
     }
 
     /// Cumulative received control traffic per port: one
@@ -440,11 +465,11 @@ impl Network {
         rows
     }
 
-    pub(crate) fn sum_feedback_generated(&self) -> u64 {
+    fn sum_feedback_generated(&self) -> u64 {
         self.ports.all().iter().flat_map(PortState::pqs).map(|pq| pq.ing_rx.messages_sent()).sum()
     }
 
-    pub(crate) fn sum_hold_and_wait(&self) -> u64 {
+    fn sum_hold_and_wait(&self) -> u64 {
         self.ports
             .all()
             .iter()
@@ -454,12 +479,12 @@ impl Network {
     }
 
     /// Total ingress occupancy across every port (bytes).
-    pub(crate) fn ingress_bytes_total(&self) -> u64 {
+    fn ingress_bytes_total(&self) -> u64 {
         self.ports.all().iter().map(PortState::ingress_backlog).sum()
     }
 
     /// Total egress staging occupancy across every port (bytes).
-    pub(crate) fn egress_bytes_total(&self) -> u64 {
+    fn egress_bytes_total(&self) -> u64 {
         self.ports.all().iter().map(PortState::egress_backlog).sum()
     }
 
@@ -472,24 +497,7 @@ impl Network {
     /// snapshot-based throughput summaries work everywhere.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.tel.reg.snapshot();
-        snap.push_counter(names::SIM_TIME_PS, self.now.0);
-        snap.push_counter(names::DELIVERED_PACKETS, self.stats.delivered_packets);
-        snap.push_counter(names::DELIVERED_BYTES, self.stats.delivered_bytes);
-        snap.push_counter(names::DROPS, self.stats.drops);
-        snap.push_counter(names::CTRL_MSGS, self.stats.ctrl_msgs);
-        snap.push_counter(names::CTRL_BYTES, self.stats.ctrl_bytes);
-        snap.push_counter(names::HOLD_AND_WAIT, self.sum_hold_and_wait());
-        snap.push_counter(names::FEEDBACK_GENERATED, self.sum_feedback_generated());
-        let ingress = self.ingress_bytes_total();
-        let backlog = ingress + self.egress_bytes_total();
-        snap.push_counter(names::INGRESS_BYTES, ingress);
-        snap.push_counter(names::BACKLOG_BYTES, backlog);
-        if self.now.0 > 0 {
-            if let Some(events) = snap.counter(names::EVENTS) {
-                let per_sec = events as f64 / self.now.as_secs_f64();
-                snap.push_counter(names::EVENTS_PER_SIM_SEC, per_sec as u64);
-            }
-        }
+        push_derived_entries(&mut snap, self.now, std::slice::from_ref(self));
         // Span-derived distribution entries (timeline spans on): outcome
         // counts plus FCT / slowdown / stall percentiles, so experiments
         // read tails through the snapshot instead of ad-hoc math.
@@ -502,8 +510,11 @@ impl Network {
                 snap.push_counter(names::FCT_P95_PS, p.p95 as u64);
                 snap.push_counter(names::FCT_P99_PS, p.p99 as u64);
             }
-            let slowdowns =
-                self.ledger.slowdowns(self.cfg.capacity.0, self.cfg.prop_delay.0, self.cfg.mtu);
+            let slowdowns = self.ledger.slowdowns(
+                self.fabric.cfg.capacity.0,
+                self.fabric.cfg.prop_delay.0,
+                self.fabric.cfg.mtu,
+            );
             if let Some(p) = Percentiles::of(&slowdowns) {
                 snap.push_counter(names::SLOWDOWN_P50_MILLI, (p.p50 * 1000.0) as u64);
                 snap.push_counter(names::SLOWDOWN_P95_MILLI, (p.p95 * 1000.0) as u64);
@@ -521,24 +532,10 @@ impl Network {
         if let Some(report) = self.causal_report() {
             report.push_summary(&mut snap);
         }
-        // Engine-probe entries (dispatch histograms, queue/pool gauges).
-        // The snapshot borrows `self` immutably, so refresh a clone with
-        // the instantaneous occupancies rather than mutating the live
-        // probe — the gauges here are exact at snapshot time, the
-        // high-water marks reflect the monitor-tick samples.
-        if let Some(probe) = self.tel.probe.as_deref() {
-            let mut p = probe.clone();
-            let qs = self.queue.stats();
-            p.pushes_inline = qs.pushes_inline;
-            p.pushes_pooled = qs.pushes_pooled;
-            p.pool_grown = qs.pool_grown;
-            p.queue_sample(
-                self.queue.heap_len() as u64,
-                self.queue.lane_lens().map(|l| l as u64),
-                self.queue.pool_slots() as u64,
-                self.queue.free_slots() as u64,
-                self.ports.ctrl_backlog_frames(),
-            );
+        // Engine-probe entries (dispatch histograms, queue/pool gauges):
+        // exact occupancies at snapshot time, high-water marks from the
+        // monitor-tick samples.
+        if let Some(p) = self.refreshed_probe() {
             p.append_to(&mut snap);
         }
         snap
@@ -578,8 +575,8 @@ impl Network {
     /// Always valid; empty sections are simply absent.
     pub fn chrome_trace(&self) -> ChromeTrace<'_> {
         let mut tr = ChromeTrace::new();
-        for n in self.topo.node_ids() {
-            tr.process_name(n.0, &self.topo.node(n).name);
+        for n in self.fabric.topo.node_ids() {
+            tr.process_name(n.0, &self.fabric.topo.node(n).name);
         }
         if let Some(samplers) = &self.tel.samplers {
             tr.add_samplers(samplers);
@@ -645,7 +642,8 @@ impl Network {
     /// choice under the ECMP identity of the next flow id. `None` if no
     /// route exists.
     pub(crate) fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[LinkId]>> {
-        let path = self.routing.path(&self.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
+        let path =
+            self.routing.path(&self.fabric.topo, src, dst, splitmix(self.next_flow_id ^ 0xF10))?;
         Some(Arc::from(path.into_boxed_slice()))
     }
 
@@ -658,13 +656,14 @@ impl Network {
         prio: u8,
         path: Arc<[LinkId]>,
     ) -> Option<u64> {
-        assert!(self.topo.node(src).kind == NodeKind::Host, "source must be a host");
-        assert!(self.topo.node(dst).kind == NodeKind::Host, "destination must be a host");
-        assert!((prio as usize) < self.cfg.num_priorities, "priority out of range");
+        assert!(self.fabric.topo.node(src).kind == NodeKind::Host, "source must be a host");
+        assert!(self.fabric.topo.node(dst).kind == NodeKind::Host, "destination must be a host");
+        assert!((prio as usize) < self.fabric.cfg.num_priorities, "priority out of range");
         assert!(!path.is_empty(), "empty path");
         let id = self.next_flow_id;
         self.next_flow_id += 1;
-        let cnp_delay = self.cfg.prop_delay.mul_u64(path.len() as u64) + self.cfg.ctrl_proc_delay;
+        let cnp_delay =
+            self.fabric.cfg.prop_delay.mul_u64(path.len() as u64) + self.fabric.cfg.ctrl_proc_delay;
         if let Some(total) = bytes {
             self.ledger.on_start(id, total, self.now.0, path.len() as u32);
         }
@@ -676,7 +675,7 @@ impl Network {
             let mut cur = src;
             let mut path_ports = Vec::with_capacity(path.len());
             for &l in path.iter() {
-                let out = self.out_port(cur, l);
+                let out = self.fabric.out_port(cur, l);
                 let ps = &self.ports[cur.0 as usize][out];
                 path_ports.push((ps.peer.0, ps.peer_port as u16));
                 cur = ps.peer;
@@ -692,11 +691,11 @@ impl Network {
         if !self.is_local(src) {
             return Some(id);
         }
-        let rp = self.cfg.dcqcn.map(ReactionPoint::new);
+        let rp = self.fabric.cfg.dcqcn.map(ReactionPoint::new);
         if let Some(p) = &rp {
             let rate = p.rate_bps();
             self.trace_dcqcn(id, rate);
-            let period = Dur(self.cfg.dcqcn.expect("dcqcn cfg").increase_timer_ps);
+            let period = Dur(self.fabric.cfg.dcqcn.expect("dcqcn cfg").increase_timer_ps);
             self.queue.push(self.now + period, Event::DcqcnTimer { host: src, flow: id });
         }
         let now = self.now;
@@ -709,12 +708,8 @@ impl Network {
     /// Run the event loop until virtual time `t_end` (inclusive), a
     /// deadlock halt (when configured), or event exhaustion.
     pub fn run_until(&mut self, t_end: Time) {
-        self.ensure_started();
-        if self.tel.probe.is_some() {
-            self.run_events_probed(t_end);
-        } else {
-            self.run_events(t_end);
-        }
+        self.ensure_started(true);
+        self.run_events(t_end);
         if !self.halted && self.now < t_end {
             self.now = t_end;
         }
@@ -726,11 +721,17 @@ impl Network {
     /// barriers via [`Self::set_now`].
     pub(crate) fn run_window(&mut self, until: Time) {
         debug_assert!(until.0 > 0, "empty window");
-        self.ensure_started();
+        self.ensure_started(false);
+        self.run_events(Time(until.0 - 1));
+    }
+
+    /// Dispatch every event due at or before `horizon`, on the probed
+    /// loop when the engine probe is on.
+    fn run_events(&mut self, horizon: Time) {
         if self.tel.probe.is_some() {
-            self.run_events_probed(Time(until.0 - 1));
+            self.dispatch_loop::<true>(horizon);
         } else {
-            self.run_events(Time(until.0 - 1));
+            self.dispatch_loop::<false>(horizon);
         }
     }
 
@@ -744,8 +745,10 @@ impl Network {
     /// event graph (one upstream peer per `(node, port)`, one destination
     /// per flow) makes engine-independent. A mid-batch halt (the monitor
     /// ranks first at its instant) discards the rest of the batch,
-    /// matching the sharded coordinator's barrier halt.
-    fn run_events(&mut self, horizon: Time) {
+    /// matching the sharded coordinator's barrier halt. `PROBED` is a
+    /// const parameter, so the unprofiled loop compiles without a trace
+    /// of the probe.
+    fn dispatch_loop<const PROBED: bool>(&mut self, horizon: Time) {
         while !self.halted {
             let Some((t, ev)) = self.queue.pop_at_or_before(horizon) else {
                 break;
@@ -754,7 +757,7 @@ impl Network {
             self.now = t;
             if self.queue.peek_time() != Some(t) {
                 // Fast path: a singleton instant needs no sort.
-                self.handle(ev);
+                self.dispatch::<PROBED>(ev);
                 continue;
             }
             let mut batch = std::mem::take(&mut self.batch);
@@ -764,7 +767,7 @@ impl Network {
             }
             batch.sort_by_key(Event::order_major);
             for ev in batch.drain(..) {
-                self.handle(ev);
+                self.dispatch::<PROBED>(ev);
                 if self.halted {
                     break;
                 }
@@ -774,65 +777,42 @@ impl Network {
         }
     }
 
-    /// The probed twin of [`Self::run_events`]: times every dispatch with
-    /// a monotonic clock and feeds the per-class histograms. Kept out of
-    /// line so the unprofiled loop carries exactly one predictable branch
-    /// for the whole feature.
-    #[cold]
-    fn run_events_probed(&mut self, horizon: Time) {
-        while !self.halted {
-            let Some((t, ev)) = self.queue.pop_at_or_before(horizon) else {
-                break;
-            };
-            debug_assert!(t >= self.now, "event time went backwards");
-            self.now = t;
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.push(ev);
-            while self.queue.peek_time() == Some(t) {
-                batch.push(self.queue.pop().expect("peeked nonempty").1);
-            }
-            if batch.len() > 1 {
-                batch.sort_by_key(Event::order_major);
-            }
-            for ev in batch.drain(..) {
-                let class = ev.class();
-                let start = std::time::Instant::now();
-                self.handle(ev);
-                let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if let Some(p) = self.tel.probe.as_deref_mut() {
-                    p.record(class, wall_ns);
-                }
-                if self.halted {
-                    break;
-                }
-            }
-            batch.clear();
-            self.batch = batch;
+    /// Handle one event; the probed variant times it with a monotonic
+    /// clock and feeds the per-class histograms.
+    #[inline(always)]
+    fn dispatch<const PROBED: bool>(&mut self, ev: Event) {
+        if !PROBED {
+            self.handle(ev);
+            return;
+        }
+        let class = ev.class();
+        let start = std::time::Instant::now();
+        self.handle(ev);
+        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some(p) = self.tel.probe.as_deref_mut() {
+            p.record(class, wall_ns);
         }
     }
 
     // ----------------------------------------------------------------
     // Shard plumbing (see `shard.rs`)
     //
-    // A sharded run builds one full `Network` per domain over the whole
-    // topology and restricts each instance to *animating* its own nodes:
-    // every event handler is shared verbatim with the sequential engine
-    // (the bit-identity argument needs exactly one copy of the physics),
-    // and the only divergence is at push time — an event bound for a
-    // foreign node diverts to the outbox for the coordinator to deliver.
-    // Every cross-node event carries at least the fabric lookahead of
-    // delay (propagation, control processing, or the OOB τ), which is
-    // what makes the coordinator's conservative windows safe.
+    // Every instance animates one domain of a shared `Fabric` (the
+    // sequential engine is the one-domain case) and holds port state for
+    // that domain's nodes only. Handlers touch only the ports of the node
+    // an event targets, so they are the sequential code verbatim; the one
+    // divergence is at push time, where an event bound for a foreign node
+    // diverts to the outbox for the coordinator to deliver. Every
+    // cross-node event carries at least the fabric lookahead of delay
+    // (propagation, control processing, or the OOB τ), which is what
+    // makes the coordinator's conservative windows safe.
     // ----------------------------------------------------------------
 
-    /// Whether `node` is animated by this instance (always true for the
-    /// sequential engine).
+    /// Whether `node` belongs to this instance's domain (always true for
+    /// the sequential engine).
     #[inline]
     fn is_local(&self, node: NodeId) -> bool {
-        match &self.domain_filter {
-            None => true,
-            Some((dom, me)) => dom[node.0 as usize] == *me,
-        }
+        self.fabric.domain_of[node.0 as usize] == self.domain
     }
 
     /// Push a wire event (FIFO lane) bound for `target`, diverting to the
@@ -858,24 +838,6 @@ impl Network {
         } else {
             self.outbox.push((t, ev));
         }
-    }
-
-    /// Restrict this instance to the nodes of `domain` (sharded mode).
-    /// Must be called before the first event runs; the restrictions the
-    /// sharded engine's v1 contract imposes (no workload, no monitor-side
-    /// observers) are asserted by the coordinator, which owns the config.
-    pub(crate) fn set_domain(&mut self, domain_of: Arc<[u32]>, domain: u32) {
-        assert!(!self.started, "set_domain must precede the first event");
-        assert!(self.workload.is_none(), "sharded runs drive explicit flows only");
-        assert_eq!(domain_of.len(), self.topo.num_nodes(), "partition table size mismatch");
-        self.domain_filter = Some((domain_of, domain));
-    }
-
-    /// Run deferred start-of-run work (timers, monitor scheduling) so the
-    /// coordinator can observe a meaningful [`Self::next_event_time`]
-    /// before the first window.
-    pub(crate) fn prime(&mut self) {
-        self.ensure_started();
     }
 
     /// Earliest pending local event, if any.
@@ -908,67 +870,53 @@ impl Network {
         self.tel.reg.snapshot()
     }
 
-    /// This shard's engine-probe entries (dispatch histograms and queue
-    /// gauges, refreshed with the instantaneous occupancies), for the
-    /// coordinator's per-domain probe section. Empty with the probe off.
-    pub(crate) fn probe_entries(&self) -> Vec<gfc_telemetry::MetricEntry> {
-        let Some(probe) = self.tel.probe.as_deref() else {
-            return Vec::new();
-        };
-        let mut p = probe.clone();
-        let qs = self.queue.stats();
-        p.pushes_inline = qs.pushes_inline;
-        p.pushes_pooled = qs.pushes_pooled;
-        p.pool_grown = qs.pool_grown;
-        p.queue_sample(
-            self.queue.heap_len() as u64,
-            self.queue.lane_lens().map(|l| l as u64),
-            self.queue.pool_slots() as u64,
-            self.queue.free_slots() as u64,
-            self.ports.ctrl_backlog_frames(),
-        );
-        let mut snap = Snapshot { entries: Vec::new() };
-        p.append_to(&mut snap);
-        snap.entries
+    /// A copy of the engine probe with the instantaneous queue state
+    /// folded in (`None` with the probe off); the live probe is left as
+    /// the monitor ticks last sampled it.
+    pub(crate) fn refreshed_probe(&self) -> Option<EngineProbe> {
+        let mut p = self.tel.probe.as_deref()?.clone();
+        refresh_probe(&mut p, &self.queue, &self.ports);
+        Some(p)
     }
 
-    fn ensure_started(&mut self) {
+    /// Run deferred start-of-run work (timers, workload priming) once.
+    /// `observers` also schedules the monitor and timeline-sampler ticks:
+    /// the sequential entry point owns them, a sharded coordinator runs
+    /// its own monitor barrier instead.
+    pub(crate) fn ensure_started(&mut self, observers: bool) {
         if self.started {
             return;
         }
         self.started = true;
-        // Monitor + timeline samplers run on the coordinator when the
-        // network is one shard of a partitioned run, never per shard.
-        if self.domain_filter.is_none() {
-            self.queue.push(self.now + self.cfg.monitor_interval, Event::MonitorTick);
+        if observers {
+            self.queue.push(self.now + self.fabric.cfg.monitor_interval, Event::MonitorTick);
             if let Some(period) = self.tel.sampler_period_ps() {
                 self.queue.push(self.now + Dur(period), Event::TimelineSample);
             }
         }
         // Periodic feedback timers (CBFC / time-based GFC) on every port.
-        if let Some(period) = self.cfg.fc.period() {
+        if let Some(period) = self.fabric.cfg.fc.period() {
             // Desynchronize the per-port feedback clocks: each port's
             // firmware timer starts at an independent phase. Synchronized
             // phases are physically unrealistic and make the coupled
             // rate dynamics fragile (phase-locked oscillation modes).
             // The phase is a pure hash of (seed, node, port) — not a
             // stream draw — so every shard of a partitioned run derives
-            // the identical phase for any port it owns.
-            let nodes: Vec<NodeId> = self.topo.node_ids().collect();
-            for n in nodes {
-                if !self.is_local(n) {
-                    continue;
-                }
-                for p in 0..self.ports[n.0 as usize].len() {
-                    let h = splitmix(self.cfg.seed ^ ((u64::from(n.0) << 20) | p as u64));
+            // the identical phase for any port it owns. Foreign nodes have
+            // no ports here, so each shard arms exactly its own timers.
+            for n in 0..self.ports.num_nodes() {
+                let node = NodeId(n as u32);
+                for port in 0..self.ports[n].len() {
+                    let h =
+                        splitmix(self.fabric.cfg.seed ^ ((u64::from(node.0) << 20) | port as u64));
                     let phase = Dur(h % period.0 + 1);
-                    self.queue.push(self.now + phase, Event::PeriodicFeedback { node: n, port: p });
+                    self.queue.push(self.now + phase, Event::PeriodicFeedback { node, port });
                 }
             }
         }
         // Prime the workload.
         if self.workload.is_some() {
-            for i in 0..self.host_list.len() {
+            for i in 0..self.fabric.host_list.len() {
                 self.spawn_from_workload(i);
             }
         }
@@ -978,7 +926,7 @@ impl Network {
     /// number of times when the picked destination is unroutable (possible
     /// under link failures).
     fn spawn_from_workload(&mut self, idx: usize) {
-        let host = self.host_list[idx];
+        let host = self.fabric.host_list[idx];
         if self.hosts[idx].workload_done {
             return;
         }
@@ -992,7 +940,7 @@ impl Network {
                     break;
                 }
                 Some(FlowRequest { dst_index, bytes, prio }) => {
-                    let dst = self.host_list[dst_index];
+                    let dst = self.fabric.host_list[dst_index];
                     if dst == host {
                         continue; // degenerate pick; try again
                     }
@@ -1047,7 +995,7 @@ impl Network {
             return;
         }
         let now = self.now;
-        let mtu = self.cfg.mtu;
+        let mtu = self.fabric.cfg.mtu;
         let mut rows: Vec<PortSample> = Vec::new();
         for ps in self.ports.all() {
             let pq = ps.pq(0);
@@ -1070,7 +1018,7 @@ impl Network {
     }
 
     fn on_arrive(&mut self, node: NodeId, port: usize, pkt: Packet) {
-        if self.is_host(node) {
+        if self.fabric.is_host(node) {
             self.deliver_at_host(node, port, pkt);
         } else {
             self.forward_at_switch(node, port, pkt);
@@ -1092,7 +1040,7 @@ impl Network {
             .on_host_delivery(pkt.bytes);
         // ECN → CNP at the receiver.
         if pkt.ecn_marked {
-            if let Some(dc) = self.cfg.dcqcn {
+            if let Some(dc) = self.fabric.cfg.dcqcn {
                 let now_ps = self.now.0;
                 let fire = {
                     let hs = self.host_mut(node);
@@ -1150,10 +1098,9 @@ impl Network {
     /// The completion notification reaching the source host: drop the
     /// flow from its active set and let the workload backfill the slot.
     fn on_source_done(&mut self, host: NodeId, flow: u64) {
-        let src_index = self.host(host).index;
         self.host_mut(host).flows.retain(|f| f.id != flow);
         if self.workload.is_some() {
-            self.spawn_from_workload(src_index);
+            self.spawn_from_workload(self.fabric.host_of_node[host.0 as usize] as usize);
         }
     }
 
@@ -1163,7 +1110,7 @@ impl Network {
         // Ingress admission.
         {
             let ps = &mut self.ports[node.0 as usize][port];
-            if ps.pq(prio).ing_bytes + bytes > self.cfg.buffer_bytes {
+            if ps.pq(prio).ing_bytes + bytes > self.fabric.cfg.buffer_bytes {
                 ps.drops += 1;
                 self.stats.drops += 1;
                 self.tel.on_drop(self.now.0, node, port, pkt.prio, bytes);
@@ -1179,8 +1126,8 @@ impl Network {
         let link = pkt
             .next_link()
             .unwrap_or_else(|| panic!("packet {} stranded at switch {node:?}", pkt.id));
-        debug_assert!(self.topo.link_alive(link), "routing used a failed link");
-        let out_port = self.out_port(node, link);
+        debug_assert!(self.fabric.topo.link_alive(link), "routing used a failed link");
+        let out_port = self.fabric.out_port(node, link);
         let inherited_tag = if self.ports[node.0 as usize][port].pq(prio).ing_rx.wants_fwd_tag() {
             self.ports[node.0 as usize][out_port].pq(prio).tx_fc.applied_tag()
         } else {
@@ -1223,11 +1170,11 @@ impl Network {
     fn pump(&mut self, node: NodeId) {
         let n = node.0 as usize;
         let num_ports = self.ports[n].len();
-        let np = self.cfg.num_priorities;
-        let round_robin = matches!(self.cfg.pump, crate::config::PumpPolicy::RoundRobin);
-        let slots = match self.cfg.pump {
+        let np = self.fabric.cfg.num_priorities;
+        let round_robin = matches!(self.fabric.cfg.pump, crate::config::PumpPolicy::RoundRobin);
+        let slots = match self.fabric.cfg.pump {
             crate::config::PumpPolicy::OutputQueued => usize::MAX,
-            _ => self.cfg.stage_slots,
+            _ => self.fabric.cfg.stage_slots,
         };
         loop {
             // One load answers the common case: no ingress FIFO holds
@@ -1313,7 +1260,7 @@ impl Network {
             // Grant: move up to `pump_batch` packets from the chosen FIFO
             // (the DPDK testbed switch forwards in such bursts).
             let mut granted = 0usize;
-            while granted < self.cfg.pump_batch {
+            while granted < self.fabric.cfg.pump_batch {
                 let Some(head) = self.ports[n][ing].pq(prio).ing_q.front() else {
                     break;
                 };
@@ -1393,10 +1340,10 @@ impl Network {
     }
 
     fn on_periodic_feedback(&mut self, node: NodeId, port: usize) {
-        let Some(period) = self.cfg.fc.period() else {
+        let Some(period) = self.fabric.cfg.fc.period() else {
             return;
         };
-        for prio in 0..self.cfg.num_priorities {
+        for prio in 0..self.fabric.cfg.num_priorities {
             let msg = self.ports[node.0 as usize][port].pq_mut(prio).ing_rx.periodic();
             if let Some(payload) = msg {
                 // Lineage hint: where this ingress's queued traffic heads —
@@ -1417,7 +1364,7 @@ impl Network {
     }
 
     fn on_dcqcn_timer(&mut self, host: NodeId, flow: u64) {
-        let Some(dc) = self.cfg.dcqcn else { return };
+        let Some(dc) = self.fabric.cfg.dcqcn else { return };
         let rate = {
             let hs = self.host_mut(host);
             let Some(f) = hs.flows.iter_mut().find(|f| f.id == flow) else {
@@ -1452,53 +1399,39 @@ impl Network {
     /// dispatch path never pays for gauge updates). Also the sharded
     /// engine's per-shard barrier hook.
     pub(crate) fn probe_queue_sample(&mut self) {
-        if self.tel.probe.is_none() {
-            return;
-        }
-        let heap = self.queue.heap_len() as u64;
-        let lanes = self.queue.lane_lens().map(|l| l as u64);
-        let pool_slots = self.queue.pool_slots() as u64;
-        let pool_free = self.queue.free_slots() as u64;
-        let ctrl_backlog = self.ports.ctrl_backlog_frames();
-        let qs = self.queue.stats();
         if let Some(p) = self.tel.probe.as_deref_mut() {
-            p.queue_sample(heap, lanes, pool_slots, pool_free, ctrl_backlog);
-            p.pushes_inline = qs.pushes_inline;
-            p.pushes_pooled = qs.pushes_pooled;
-            p.pool_grown = qs.pool_grown;
+            refresh_probe(p, &self.queue, &self.ports);
         }
     }
 
     fn on_monitor_tick(&mut self) {
         self.probe_queue_sample();
         let backlog = self.backlogged();
-        let progressed = self.stats.delivered_packets > self.last_monitor_delivered;
-        self.last_monitor_delivered = self.stats.delivered_packets;
-        self.monitor.sample(self.now.0, self.stats.delivered_packets, backlog);
-        // Structural check only on stalled ticks (free when healthy): a
-        // wait-for cycle observed while nothing moves is a deadlock in the
-        // paper's sense — circular hold-and-wait.
-        if self.structural_deadlock_at.is_none() && backlog && !progressed {
+        // A wait-for cycle observed while nothing moves is a deadlock in
+        // the paper's sense — circular hold-and-wait.
+        if self.verdict.sample(self.now, self.stats.delivered_packets, backlog) {
             let graph = self.waitfor_graph();
             if let Some(cycle) = graph.find_cycle() {
-                self.structural_deadlock_at = Some(self.now);
+                self.verdict.structural_at = Some(self.now);
                 self.capture_forensics(ForensicsTrigger::WaitForCycle, graph, cycle);
             }
         }
         // A progress-monitor verdict without a structural cycle (a
         // pathological crawl rather than a standstill) still deserves a
         // post-mortem; capture once, on the first verdict.
-        if self.monitor.deadlocked() && self.tel.forensics_on && self.tel.forensics.is_none() {
+        if self.verdict.monitor.deadlocked()
+            && self.tel.forensics_on
+            && self.tel.forensics.is_none()
+        {
             let graph = self.waitfor_graph();
             let cycle = graph.find_cycle().unwrap_or_default();
             self.capture_forensics(ForensicsTrigger::ProgressMonitor, graph, cycle);
         }
-        let dead = self.monitor.deadlocked() || self.structural_deadlock_at.is_some();
-        if dead && self.cfg.stop_on_deadlock {
+        if self.verdict.dead() && self.fabric.cfg.stop_on_deadlock {
             self.halted = true;
             return;
         }
-        self.queue.push(self.now + self.cfg.monitor_interval, Event::MonitorTick);
+        self.queue.push(self.now + self.fabric.cfg.monitor_interval, Event::MonitorTick);
     }
 
     // ----------------------------------------------------------------
@@ -1521,7 +1454,7 @@ impl Network {
         if let Some(head) = self.ports[n][port].pq(prio).ing_q.front() {
             return Some(head.out_port as u16);
         }
-        let routed = pkt.next_link().map(|l| self.out_port(node, l));
+        let routed = pkt.next_link().map(|l| self.fabric.out_port(node, l));
         let blocked = |p: usize| {
             let pq = self.ports[n][p].pq(prio);
             pq.eg.q.front().is_some_and(|h| {
@@ -1572,7 +1505,7 @@ impl Network {
         let cause = self.tel.on_ctrl_tx(self.now.0, node, port, prio, &payload, sense);
         if payload.wire_bytes() == 0 {
             // Conceptual out-of-band channel: fixed latency τ.
-            let tau = self.cfg.fc.oob_latency();
+            let tau = self.fabric.cfg.fc.oob_latency();
             let (peer, peer_port) = {
                 let ps = &self.ports[node.0 as usize][port];
                 (ps.peer, ps.peer_port)
@@ -1591,7 +1524,7 @@ impl Network {
 
     /// Attempt to start a transmission on `(node, port)`.
     fn try_transmit(&mut self, node: NodeId, port: usize) {
-        let np = self.cfg.num_priorities;
+        let np = self.fabric.cfg.num_priorities;
         let now = self.now;
         let n = node.0 as usize;
         if self.ports[n][port].tx_busy {
@@ -1600,7 +1533,7 @@ impl Network {
         // Control frames first (strict priority, immune to pause).
         if let Some(ctrl) = self.ports[n][port].ctrl_q.pop_front() {
             let wire = ctrl.payload.wire_bytes();
-            let tx_time = Dur::for_bytes(wire, self.cfg.capacity);
+            let tx_time = Dur::for_bytes(wire, self.fabric.cfg.capacity);
             let done = now + tx_time;
             let ps = &mut self.ports[n][port];
             ps.bytes_tx += wire;
@@ -1652,7 +1585,7 @@ impl Network {
         let now = self.now;
         // ECN marking at switch egress, based on the egress queue length
         // including the departing packet.
-        let mark = match (self.is_host(node), self.cfg.ecn) {
+        let mark = match (self.fabric.is_host(node), self.fabric.cfg.ecn) {
             (false, Some(m)) => {
                 // Mark against the virtual output queue: everything in the
                 // node currently destined to this egress. The uniform draw
@@ -1662,8 +1595,9 @@ impl Network {
                 let qlen = self.ports[n][port].pq(prio).eg.voq_bytes;
                 let k = self.ecn_seq[n];
                 self.ecn_seq[n] = k + 1;
-                let h =
-                    splitmix(self.cfg.seed ^ 0x9E37_79B9_7F4A_7C15 ^ (u64::from(node.0) << 40) ^ k);
+                let h = splitmix(
+                    self.fabric.cfg.seed ^ 0x9E37_79B9_7F4A_7C15 ^ (u64::from(node.0) << 40) ^ k,
+                );
                 let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
                 m.should_mark(qlen, u)
             }
@@ -1675,14 +1609,14 @@ impl Network {
         if mark {
             sp.pkt.ecn_marked = true;
         }
-        let tx_time = Dur::for_bytes(sp.pkt.bytes, self.cfg.capacity);
+        let tx_time = Dur::for_bytes(sp.pkt.bytes, self.fabric.cfg.capacity);
         let done = now + tx_time;
         let head = TxHead { bytes: sp.pkt.bytes, flow: sp.pkt.flow };
         ps.pq_mut(prio).tx_fc.on_sent(&head, tx_time, done);
         ps.bytes_tx += sp.pkt.bytes;
         ps.tx_busy = true;
         ps.current_data = Some((sp, prio as u8));
-        ps.wrr_next = if prio + 1 >= self.cfg.num_priorities { 0 } else { prio + 1 };
+        ps.wrr_next = if prio + 1 >= self.fabric.cfg.num_priorities { 0 } else { prio + 1 };
         self.queue.push(done, Event::TxComplete { node, port });
         // This egress just freed a staging slot: ingress FIFO heads that
         // head-of-line blocked on it are movable again.
@@ -1701,7 +1635,7 @@ impl Network {
                 let ps = &self.ports[n][port];
                 (ps.peer, ps.peer_port)
             };
-            let due = self.now + self.cfg.prop_delay + self.cfg.ctrl_proc_delay;
+            let due = self.now + self.fabric.cfg.prop_delay + self.fabric.cfg.ctrl_proc_delay;
             self.push_wire(
                 EventQueue::LANE_CTRL,
                 due,
@@ -1731,7 +1665,7 @@ impl Network {
         // are due in push order: they ride the O(1) FIFO lane.
         self.push_wire(
             EventQueue::LANE_ARRIVE,
-            self.now + self.cfg.prop_delay,
+            self.now + self.fabric.cfg.prop_delay,
             peer,
             Event::Arrive { node: peer, port: peer_port, pkt },
         );
@@ -1760,7 +1694,7 @@ impl Network {
             self.pump(node);
         } else {
             // Host NIC: feed DCQCN's byte counter and top the queue up.
-            if self.cfg.dcqcn.is_some() {
+            if self.fabric.cfg.dcqcn.is_some() {
                 let hs = self.host_mut(node);
                 if let Some(f) = hs.flows.iter_mut().find(|f| f.id == flow) {
                     if let Some(rp) = &mut f.rp {
@@ -1780,7 +1714,7 @@ impl Network {
     /// Top up a host's NIC queue from its active flows (round-robin among
     /// eligible flows), keeping at most two frames staged.
     fn refill_host(&mut self, host: NodeId) {
-        let mtu = self.cfg.mtu;
+        let mtu = self.fabric.cfg.mtu;
         let now = self.now;
         enum Step {
             Idle,
@@ -1913,7 +1847,7 @@ impl Network {
     pub fn waitfor_graph(&self) -> WaitForGraph {
         let mut g = WaitForGraph::new();
         let vertex = |g: &mut WaitForGraph, side: WfSide, n: usize, p: usize| {
-            let name = &self.topo.node(NodeId(n as u32)).name;
+            let name = &self.fabric.topo.node(NodeId(n as u32)).name;
             let dir = match side {
                 WfSide::Egress => "out",
                 WfSide::Ingress => "in",
@@ -1979,16 +1913,17 @@ impl Network {
         port_set.dedup();
         let occupancies = port_set
             .iter()
-            .map(|&(n, p)| {
-                let ps = &self.ports[n as usize][p as usize];
-                PortOccupancy {
-                    label: format!("{}:p{p}", self.topo.node(NodeId(n)).name),
+            .filter_map(|&(n, p)| {
+                // A shard holds no state for other domains' ports.
+                let ps = self.ports[n as usize].get(p as usize)?;
+                Some(PortOccupancy {
+                    label: format!("{}:p{p}", self.fabric.topo.node(NodeId(n)).name),
                     node: n,
                     port: p,
                     ingress_bytes: ps.ingress_backlog(),
                     egress_bytes: ps.egress_backlog(),
                     ctrl_queued: ps.ctrl_q.len(),
-                }
+                })
             })
             .collect();
         const TRAILING: usize = 32;
@@ -1996,7 +1931,7 @@ impl Network {
         self.tel.forensics = Some(ForensicsReport {
             t_ps: self.now.0,
             trigger,
-            last_progress_ps: self.monitor.last_progress_ps(),
+            last_progress_ps: self.verdict.monitor.last_progress_ps(),
             graph,
             cycle,
             occupancies,
@@ -2012,4 +1947,20 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Read-only views of a domain's state for the shard tests.
+#[cfg(test)]
+mod test_views {
+    use super::*;
+
+    impl Network {
+        pub(crate) fn fabric(&self) -> &Arc<Fabric> {
+            &self.fabric
+        }
+
+        pub(crate) fn port_table(&self) -> &PortTable {
+            &self.ports
+        }
+    }
 }

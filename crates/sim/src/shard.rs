@@ -10,15 +10,17 @@
 //!
 //! ## How it stays exact
 //!
-//! * **One copy of the physics.** Each shard *is* a full [`Network`] over
-//!   the complete topology, restricted to animating its own domain's
-//!   nodes. Every event handler is the sequential code, byte for byte;
-//!   the only divergence is at push time, where an event bound for a
-//!   foreign node diverts to a per-shard outbox. Routes are not
-//!   replicated: [`ShardedNetwork::start_flow`] resolves each path once,
-//!   on shard 0 under the sequential engine's ECMP identity (the next
-//!   flow id), and hands the one shared path to every shard, so a single
-//!   SPF route cache exists however many domains there are.
+//! * **Shared fabric, owned slices.** Topology, configuration, lookup
+//!   tables, node → domain table and preflight report are built once and
+//!   shared by `Arc`. Each shard is a [`Network`] owning only its own
+//!   domain's mutable state (foreign nodes get empty port slices); the
+//!   sequential engine is the one-domain case. Every event handler is
+//!   the sequential code, byte for byte — it touches only the ports of
+//!   the node its event targets — and the only divergence is at push
+//!   time, where an event bound for a foreign node diverts to a
+//!   per-shard outbox. [`ShardedNetwork::start_flow`] resolves each
+//!   route once, on shard 0 under the sequential engine's ECMP identity
+//!   (the next flow id), and shares the path with every shard.
 //! * **Conservative windows.** Every cross-node event carries at least
 //!   the fabric *lookahead* of delay: the link propagation delay for wire
 //!   traffic (data arrivals, control frames, CNPs, completion notices)
@@ -39,8 +41,10 @@
 //!   so concatenation order reproduces the sequential FIFO order.
 //! * **Coordinator-owned observers.** The progress monitor and the
 //!   deadlock verdicts run on the coordinator at the exact instants the
-//!   sequential engine would run its `MonitorTick`, over merged state
-//!   (summed deliveries, OR-ed backlog, unioned wait-for graphs).
+//!   sequential engine would run its `MonitorTick`, through the same
+//!   verdict logic, over merged state (summed deliveries, OR-ed backlog,
+//!   unioned wait-for graphs). Preflight runs once, on the shared fabric;
+//!   its report reads the same from both engines.
 //!
 //! Shared-RNG coupling is eliminated at the source: ECN mark draws and
 //! periodic-feedback phases are pure counter/port hashes (see
@@ -51,15 +55,17 @@
 //! Explicit flows only (no [`Workload`](crate::Workload) installation),
 //! and the per-event observability layers that thread global state
 //! through the dispatch order — timeline sampling, flow spans, causal
-//! attribution — must be off. Metrics, the flow ledger, and the engine
-//! probe are fully supported; forensic post-mortems are not captured
-//! (the deadlock *verdicts* themselves are identical).
+//! attribution — must be off. Metrics, the flow ledger, the preflight
+//! report and the engine probe are fully supported; forensic
+//! post-mortems are not captured (the deadlock *verdicts* themselves are
+//! identical).
 
 use crate::config::SimConfig;
 use crate::event::Event;
-use crate::network::{Network, SimStats};
+use crate::fabric::Fabric;
+use crate::network::{push_derived_entries, MonitorVerdict, Network, SimStats};
 use crate::trace::TraceConfig;
-use gfc_analysis::{FlowLedger, ProgressMonitor};
+use gfc_analysis::FlowLedger;
 use gfc_core::units::{Dur, Time};
 use gfc_telemetry::{names, MetricValue, Snapshot, WaitForGraph};
 use gfc_topology::{NodeId, Partition, Routing, Topology};
@@ -86,8 +92,6 @@ enum Cmd {
     Graph,
     /// Advance clocks to the end of the run horizon.
     Finish { at: Time },
-    /// Tear down the pool.
-    Exit,
 }
 
 enum Reply {
@@ -113,7 +117,7 @@ fn worker_loop(base: usize, shards: &mut [Network], rx: &Receiver<Cmd>, tx: &Sen
                     .iter_mut()
                     .enumerate()
                     .map(|(i, n)| {
-                        n.prime();
+                        n.ensure_started(false);
                         (base + i, n.next_event_time())
                     })
                     .collect(),
@@ -158,7 +162,6 @@ fn worker_loop(base: usize, shards: &mut [Network], rx: &Receiver<Cmd>, tx: &Sen
                 }
                 Reply::Finished
             }
-            Cmd::Exit => break,
         };
         if tx.send(reply).is_err() {
             break;
@@ -207,23 +210,23 @@ fn merge_value(a: &mut MetricValue, b: MetricValue) {
 /// across per-domain event queues. See the module docs for the
 /// synchronization scheme and the exactness argument.
 pub struct ShardedNetwork {
+    /// Topology, config, lookup tables, partition and preflight report,
+    /// shared with every shard.
+    fabric: Arc<Fabric>,
     shards: Vec<Network>,
-    domain_of: Arc<[u32]>,
     workers: usize,
     /// Minimum cross-domain event delay: the safe window width.
     lookahead: Dur,
     now: Time,
     halted: bool,
-    /// Coordinator-owned progress monitor (shards never tick their own).
-    monitor: ProgressMonitor,
+    /// Coordinator-owned deadlock verdicts (shards never tick their own).
+    verdict: MonitorVerdict,
     /// Next monitor barrier; scheduled on the first run, then advances by
     /// `monitor_interval` exactly like the sequential tick chain.
     monitor_due: Option<Time>,
     /// Barrier ticks taken so far — the sequential engine dispatches each
     /// tick as an event, so the merged event counter adds these back.
     monitor_ticks: u64,
-    last_monitor_delivered: u64,
-    structural_deadlock_at: Option<Time>,
     /// Cross-shard events awaiting injection, per destination shard, in
     /// (window, source-shard, generation) order.
     pending: Vec<Vec<(Time, Event)>>,
@@ -232,13 +235,16 @@ pub struct ShardedNetwork {
 impl ShardedNetwork {
     /// Build a sharded simulator over `topo`, one shard per domain of
     /// `partition`, driven by up to `workers` threads (clamped to the
-    /// domain count). Preflight (if configured) runs once, not per shard.
+    /// domain count). The fabric — and with it preflight — is built
+    /// once and shared by every shard.
     ///
     /// # Panics
     /// On a v1-contract violation: a partition that does not cover the
     /// topology, timeline sampling / spans / causal attribution enabled,
     /// or a configuration with zero cross-domain lookahead (conceptual
-    /// GFC with `tau = 0`).
+    /// GFC with `tau = 0`); and on preflight errors under
+    /// [`PreflightPolicy::Enforce`](crate::PreflightPolicy), like
+    /// [`Network::new`].
     pub fn new(
         topo: Topology,
         routing: Routing,
@@ -246,8 +252,6 @@ impl ShardedNetwork {
         partition: &Partition,
         workers: usize,
     ) -> Self {
-        assert_eq!(partition.len(), topo.num_nodes(), "partition does not cover the topology");
-        assert!(partition.num_domains() >= 1, "need at least one domain");
         assert!(
             cfg.telemetry.timeline.sample_period_ps == 0 && !cfg.telemetry.timeline.spans,
             "sharded engine v1 does not support the timeline layer"
@@ -262,43 +266,38 @@ impl ShardedNetwork {
             lookahead.0 > 0,
             "zero cross-domain lookahead: prop_delay (and conceptual tau) must be positive"
         );
-        // Preflight once, against the caller's policy; shards skip it.
-        if cfg.preflight != gfc_verify::PreflightPolicy::Skip {
-            let report = gfc_verify::preflight(&topo, &routing, &cfg.fabric_spec());
-            if cfg.preflight == gfc_verify::PreflightPolicy::Enforce && report.has_errors() {
-                panic!(
-                    "preflight rejected this configuration (set SimConfig::preflight to \
-                     PreflightPolicy::Acknowledge to run it anyway):\n{}",
-                    report.render()
-                );
-            }
-        }
-        let domain_of: Arc<[u32]> = Arc::from(partition.domains().to_vec().into_boxed_slice());
+        let fabric = Arc::new(Fabric::new(topo, &routing, cfg, partition));
         let num_domains = partition.num_domains();
-        let mut shard_cfg = cfg;
-        shard_cfg.preflight = gfc_verify::PreflightPolicy::Skip;
-        let monitor = ProgressMonitor::new(shard_cfg.progress_window.0);
-        let mut shards = Vec::with_capacity(num_domains);
-        for d in 0..num_domains {
-            let mut net =
-                Network::new(topo.clone(), routing.clone(), shard_cfg.clone(), TraceConfig::none());
-            net.set_domain(Arc::clone(&domain_of), u32::try_from(d).expect("domain fits u32"));
-            shards.push(net);
-        }
+        let shards = (0..num_domains)
+            .map(|d| {
+                let d = u32::try_from(d).expect("domain fits u32");
+                Network::for_domain(Arc::clone(&fabric), routing.clone(), d, TraceConfig::none())
+            })
+            .collect();
         ShardedNetwork {
+            verdict: MonitorVerdict::new(fabric.cfg.progress_window),
+            fabric,
             shards,
-            domain_of,
             workers: workers.clamp(1, num_domains),
             lookahead,
             now: Time::ZERO,
             halted: false,
-            monitor,
             monitor_due: None,
             monitor_ticks: 0,
-            last_monitor_delivered: 0,
-            structural_deadlock_at: None,
             pending: vec![Vec::new(); num_domains],
         }
+    }
+
+    /// The static preflight report, computed once on the shared fabric
+    /// (`None` when `cfg.preflight` was
+    /// [`PreflightPolicy::Skip`](crate::PreflightPolicy)).
+    pub fn preflight_report(&self) -> Option<&gfc_verify::Report> {
+        self.fabric.preflight.as_ref()
+    }
+
+    /// The condensed static verdict (see [`Network::static_verdict`]).
+    pub fn static_verdict(&self) -> Option<gfc_verify::StaticVerdict> {
+        self.preflight_report().map(gfc_verify::Report::verdict)
     }
 
     /// Number of domains (= shards).
@@ -335,15 +334,13 @@ impl ShardedNetwork {
         prio: u8,
         path: Arc<[gfc_topology::LinkId]>,
     ) -> Option<u64> {
-        let mut id = None;
-        for net in &mut self.shards {
-            let this = net.start_flow_on_path(src, dst, bytes, prio, Arc::clone(&path));
-            match (id, this) {
-                (None, _) => id = Some(this),
-                (Some(prev), _) => assert_eq!(prev, this, "shards disagreed on flow admission"),
-            }
-        }
-        id.expect("at least one shard")
+        let ids: Vec<Option<u64>> = self
+            .shards
+            .iter_mut()
+            .map(|net| net.start_flow_on_path(src, dst, bytes, prio, Arc::clone(&path)))
+            .collect();
+        assert!(ids.windows(2).all(|w| w[0] == w[1]), "shards disagreed on flow admission");
+        ids[0]
     }
 
     /// Run to virtual time `t_end` (inclusive), a deadlock halt (when
@@ -353,21 +350,19 @@ impl ShardedNetwork {
         if self.halted || t_end < self.now {
             return;
         }
-        let interval = self.shards[0].config().monitor_interval;
-        let stop_on_deadlock = self.shards[0].config().stop_on_deadlock;
+        let interval = self.fabric.cfg.monitor_interval;
+        let stop_on_deadlock = self.fabric.cfg.stop_on_deadlock;
         let lookahead = self.lookahead;
         let workers = self.workers;
         let num_shards = self.shards.len();
         let chunk = num_shards.div_ceil(workers);
         let monitor_due = &mut self.monitor_due;
-        let monitor = &mut self.monitor;
+        let verdict = &mut self.verdict;
         let monitor_ticks = &mut self.monitor_ticks;
-        let last_delivered = &mut self.last_monitor_delivered;
-        let structural_at = &mut self.structural_deadlock_at;
         let pending = &mut self.pending;
         let now = &mut self.now;
         let halted = &mut self.halted;
-        let domain_of = &self.domain_of;
+        let domain_of = &self.fabric.domain_of;
         let shards = &mut self.shards;
         std::thread::scope(|s| {
             let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
@@ -382,23 +377,20 @@ impl ShardedNetwork {
                 s.spawn(move || worker_loop(b, chunk_shards, &rx, &rtx));
             }
             drop(reply_tx);
-            let pool = cmd_txs.len();
-            let send_all = |cmd: &dyn Fn() -> Cmd| {
-                for tx in &cmd_txs {
-                    tx.send(cmd()).expect("worker alive");
+            // One lockstep round: a command to each worker (by index),
+            // then one reply from each.
+            let round = |cmd: &mut dyn FnMut(usize) -> Cmd| -> Vec<Reply> {
+                for (w, tx) in cmd_txs.iter().enumerate() {
+                    tx.send(cmd(w)).expect("worker alive");
                 }
+                cmd_txs.iter().map(|_| reply_rx.recv().expect("worker alive")).collect()
             };
             // Peek times, refreshed from every Run reply.
             let mut peeks: Vec<Option<Time>> = vec![None; num_shards];
-            send_all(&|| Cmd::Prime);
-            for _ in 0..pool {
-                match reply_rx.recv().expect("worker alive") {
-                    Reply::Primed(rows) => {
-                        for (idx, t) in rows {
-                            peeks[idx] = t;
-                        }
-                    }
-                    _ => unreachable!("lockstep protocol"),
+            for reply in round(&mut |_| Cmd::Prime) {
+                let Reply::Primed(rows) = reply else { unreachable!("lockstep protocol") };
+                for (idx, t) in rows {
+                    peeks[idx] = t;
                 }
             }
             let mut due = *monitor_due.get_or_insert(*now + interval);
@@ -423,25 +415,19 @@ impl ShardedNetwork {
                     None => due,
                 };
                 if next_ev.is_some_and(|t| t < w1) {
-                    let mut inject: Vec<Vec<(Time, Event)>> =
-                        pending.iter_mut().map(std::mem::take).collect();
-                    for (w, tx) in cmd_txs.iter().enumerate() {
-                        let lo = w * chunk;
-                        let hi = (lo + chunk).min(num_shards);
-                        let mut per: Vec<(usize, Vec<(Time, Event)>)> = Vec::new();
-                        for (i, evs) in inject.iter_mut().enumerate().take(hi).skip(lo) {
-                            if !evs.is_empty() {
-                                per.push((i, std::mem::take(evs)));
-                            }
-                        }
-                        tx.send(Cmd::Run { until: w1, inject: per }).expect("worker alive");
-                    }
                     let mut ran: Vec<RanShard> = Vec::with_capacity(num_shards);
-                    for _ in 0..pool {
-                        match reply_rx.recv().expect("worker alive") {
-                            Reply::Ran(rows) => ran.extend(rows),
-                            _ => unreachable!("lockstep protocol"),
-                        }
+                    for reply in round(&mut |w| {
+                        let owned = w * chunk..((w + 1) * chunk).min(num_shards);
+                        let inject = owned
+                            .clone()
+                            .zip(&mut pending[owned])
+                            .filter(|(_, evs)| !evs.is_empty())
+                            .map(|(i, evs)| (i, std::mem::take(evs)))
+                            .collect();
+                        Cmd::Run { until: w1, inject }
+                    }) {
+                        let Reply::Ran(rows) = reply else { unreachable!("lockstep protocol") };
+                        ran.extend(rows);
                     }
                     // Source-shard order: the deterministic concatenation
                     // the exactness argument relies on.
@@ -458,30 +444,22 @@ impl ShardedNetwork {
                 if w1 == due && due <= t_end {
                     // Monitor barrier — the sequential MonitorTick,
                     // replayed at the same instant over merged state.
-                    send_all(&|| Cmd::Monitor { at: due });
-                    let mut backlogged = false;
-                    let mut delivered = 0;
-                    for _ in 0..pool {
-                        match reply_rx.recv().expect("worker alive") {
-                            Reply::Monitored { backlogged: b, delivered: d } => {
-                                backlogged |= b;
-                                delivered += d;
-                            }
-                            _ => unreachable!("lockstep protocol"),
-                        }
+                    let (mut backlogged, mut delivered) = (false, 0);
+                    for reply in round(&mut |_| Cmd::Monitor { at: due }) {
+                        let Reply::Monitored { backlogged: b, delivered: d } = reply else {
+                            unreachable!("lockstep protocol")
+                        };
+                        backlogged |= b;
+                        delivered += d;
                     }
                     *monitor_ticks += 1;
-                    let progressed = delivered > *last_delivered;
-                    *last_delivered = delivered;
-                    monitor.sample(due.0, delivered, backlogged);
-                    if structural_at.is_none() && backlogged && !progressed {
-                        send_all(&|| Cmd::Graph);
+                    if verdict.sample(due, delivered, backlogged) {
                         let mut graphs: Vec<(usize, WaitForGraph)> = Vec::new();
-                        for _ in 0..pool {
-                            match reply_rx.recv().expect("worker alive") {
-                                Reply::Graphs(rows) => graphs.extend(rows),
-                                _ => unreachable!("lockstep protocol"),
-                            }
+                        for reply in round(&mut |_| Cmd::Graph) {
+                            let Reply::Graphs(rows) = reply else {
+                                unreachable!("lockstep protocol")
+                            };
+                            graphs.extend(rows);
                         }
                         graphs.sort_by_key(|(idx, _)| *idx);
                         let mut union = WaitForGraph::new();
@@ -498,13 +476,12 @@ impl ShardedNetwork {
                             }
                         }
                         if union.find_cycle().is_some() {
-                            *structural_at = Some(due);
+                            verdict.structural_at = Some(due);
                         }
                     }
-                    let dead = monitor.deadlocked() || structural_at.is_some();
                     *now = due;
                     due += interval;
-                    if dead && stop_on_deadlock {
+                    if verdict.dead() && stop_on_deadlock {
                         *halted = true;
                         break;
                     }
@@ -512,16 +489,10 @@ impl ShardedNetwork {
             }
             *monitor_due = Some(due);
             if !*halted {
-                send_all(&|| Cmd::Finish { at: t_end });
-                for _ in 0..pool {
-                    match reply_rx.recv().expect("worker alive") {
-                        Reply::Finished => {}
-                        _ => unreachable!("lockstep protocol"),
-                    }
-                }
+                round(&mut |_| Cmd::Finish { at: t_end });
                 *now = t_end;
             }
-            send_all(&|| Cmd::Exit);
+            // Dropping the command senders at scope end stops the pool.
         });
     }
 
@@ -532,16 +503,7 @@ impl ShardedNetwork {
 
     /// Merged run statistics.
     pub fn stats(&self) -> SimStats {
-        let mut total = SimStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.delivered_packets += st.delivered_packets;
-            total.delivered_bytes += st.delivered_bytes;
-            total.drops += st.drops;
-            total.ctrl_msgs += st.ctrl_msgs;
-            total.ctrl_bytes += st.ctrl_bytes;
-        }
-        total
+        self.shards.iter().map(Network::stats).sum()
     }
 
     /// Merged flow ledger: every shard registers every flow; finishes
@@ -556,27 +518,22 @@ impl ShardedNetwork {
 
     /// Progress-monitor verdict (see [`Network::deadlocked`]).
     pub fn deadlocked(&self) -> bool {
-        self.monitor.deadlocked()
+        self.verdict.monitor.deadlocked()
     }
 
     /// When the fatal stall began, if a progress-monitor verdict landed.
     pub fn deadlock_at(&self) -> Option<Time> {
-        self.monitor.deadlock_at_ps().map(Time)
+        self.verdict.monitor.deadlock_at_ps().map(Time)
     }
 
     /// Strict structural verdict (see [`Network::structurally_deadlocked`]).
     pub fn structurally_deadlocked(&self) -> bool {
-        self.structural_deadlock_at.is_some()
+        self.verdict.structural_at.is_some()
     }
 
     /// When the structural deadlock was first observed.
     pub fn structural_deadlock_at(&self) -> Option<Time> {
-        self.structural_deadlock_at
-    }
-
-    /// Whether any queue in any shard still holds packets.
-    pub fn backlogged(&self) -> bool {
-        self.shards.iter().any(Network::backlogged)
+        self.verdict.structural_at
     }
 
     /// The merged metrics snapshot: registry entries merged entry-by-entry
@@ -602,34 +559,102 @@ impl ShardedNetwork {
                 *c += self.monitor_ticks;
             }
         }
-        let stats = self.stats();
-        snap.push_counter(names::SIM_TIME_PS, self.now.0);
-        snap.push_counter(names::DELIVERED_PACKETS, stats.delivered_packets);
-        snap.push_counter(names::DELIVERED_BYTES, stats.delivered_bytes);
-        snap.push_counter(names::DROPS, stats.drops);
-        snap.push_counter(names::CTRL_MSGS, stats.ctrl_msgs);
-        snap.push_counter(names::CTRL_BYTES, stats.ctrl_bytes);
-        let hw: u64 = self.shards.iter().map(Network::sum_hold_and_wait).sum();
-        let fg: u64 = self.shards.iter().map(Network::sum_feedback_generated).sum();
-        snap.push_counter(names::HOLD_AND_WAIT, hw);
-        snap.push_counter(names::FEEDBACK_GENERATED, fg);
-        let ingress: u64 = self.shards.iter().map(Network::ingress_bytes_total).sum();
-        let egress: u64 = self.shards.iter().map(Network::egress_bytes_total).sum();
-        snap.push_counter(names::INGRESS_BYTES, ingress);
-        snap.push_counter(names::BACKLOG_BYTES, ingress + egress);
-        if self.now.0 > 0 {
-            if let Some(events) = snap.counter(names::EVENTS) {
-                let per_sec = events as f64 / self.now.as_secs_f64();
-                snap.push_counter(names::EVENTS_PER_SIM_SEC, per_sec as u64);
-            }
-        }
+        push_derived_entries(&mut snap, self.now, &self.shards);
         for (d, s) in self.shards.iter().enumerate() {
-            for entry in s.probe_entries() {
-                let mut entry = entry;
+            let mut probe = Snapshot::default();
+            if let Some(p) = s.refreshed_probe() {
+                p.append_to(&mut probe);
+            }
+            for mut entry in probe.entries {
                 entry.name = format!("domain{d}.{}", entry.name);
                 snap.entries.push(entry);
             }
         }
         snap
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PreflightPolicy;
+    use gfc_topology::fattree::find_fig11_failures;
+    use gfc_topology::Ring;
+
+    fn cfg() -> SimConfig {
+        let mut cfg = SimConfig::default_10g();
+        cfg.preflight = PreflightPolicy::Acknowledge;
+        cfg
+    }
+
+    /// The Fig. 11 k = 4 fat-tree: every shard holds the port state of
+    /// its own pod domain and nothing else, and all of them read one
+    /// shared fabric.
+    #[test]
+    fn shards_own_exactly_their_domains_ports_over_one_shared_fabric() {
+        let (ft, _) = find_fig11_failures(64).expect("fig11 failure set exists");
+        let part = Partition::by_pods(&ft);
+        let seq = Network::new(ft.topo.clone(), Routing::spf(), cfg(), TraceConfig::none());
+        let net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg(), &part, 2);
+        assert_eq!(net.num_domains(), 4);
+        let mut total = 0;
+        for (d, shard) in net.shards.iter().enumerate() {
+            assert!(Arc::ptr_eq(shard.fabric(), &net.fabric), "shard {d} copied the fabric");
+            let table = shard.port_table();
+            for n in ft.topo.node_ids() {
+                let own = if part.domain_of(n) == d { ft.topo.ports(n).len() } else { 0 };
+                assert_eq!(table[n.0 as usize].len(), own, "shard {d}, node {n:?}");
+            }
+            total += table.all().len();
+        }
+        assert_eq!(total, seq.port_table().all().len(), "shards lost or duplicated ports");
+        assert_eq!(Arc::strong_count(&net.fabric), net.num_domains() + 1);
+    }
+
+    /// Build a sharded 3-ring (one arc per switch) under `cfg`.
+    fn ring_sharded(cfg: SimConfig) -> ShardedNetwork {
+        let ring = Ring::new(3);
+        let part = Partition::ring_arcs(&ring, 3);
+        ShardedNetwork::new(ring.topo, Routing::spf(), cfg, &part, 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support the timeline layer")]
+    fn rejects_timeline_sampling() {
+        let mut cfg = cfg();
+        cfg.telemetry.timeline.sample_period_ps = 1_000_000;
+        ring_sharded(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support the timeline layer")]
+    fn rejects_flow_spans() {
+        let mut cfg = cfg();
+        cfg.telemetry.timeline.spans = true;
+        ring_sharded(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not support causal attribution")]
+    fn rejects_causal_attribution() {
+        let mut cfg = cfg();
+        cfg.telemetry.causal = true;
+        ring_sharded(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero cross-domain lookahead")]
+    fn rejects_zero_lookahead() {
+        let mut cfg = cfg();
+        cfg.prop_delay = Dur(0);
+        ring_sharded(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition does not cover the topology")]
+    fn rejects_a_partition_of_another_size() {
+        let ring = Ring::new(3);
+        let part = Partition::contiguous(ring.topo.num_nodes() + 1, 2);
+        ShardedNetwork::new(ring.topo, Routing::spf(), cfg(), &part, 2);
     }
 }

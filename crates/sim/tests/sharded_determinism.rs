@@ -178,38 +178,49 @@ fn assert_identical(seq: &Fingerprint, shd: &Fingerprint, what: &str) {
     assert_eq!(seq.structural, shd.structural, "{what}: structural verdicts diverged");
 }
 
-/// The full matrix on the ring: six backends × arc partitions × worker
-/// counts 1/2/4/8, every cell bit-identical to the sequential run.
+/// The full matrix on the ring: six backends × partitions (one domain —
+/// the sequential engine's own shape — and 2 or 3 arcs) × worker counts
+/// 1/2/4/8, every cell bit-identical to the sequential run.
 #[test]
 fn ring_matrix_matches_sequential_at_every_worker_count() {
     let ring = Ring::new(3);
     let sc = ring_scenario();
+    let parts = [
+        ("single", Partition::single(ring.topo.num_nodes())),
+        ("arcs2", Partition::ring_arcs(&ring, 2)),
+        ("arcs3", Partition::ring_arcs(&ring, 3)),
+    ];
     for (name, fc, pump) in backends() {
         let cfg = base_cfg(fc, pump);
         let seq = run_sequential(&sc, cfg.clone());
         let events = seq.metrics.iter().find(|e| e.name == names::EVENTS);
         assert!(events.is_some(), "{name}: sequential run recorded no events");
-        for arcs in [2usize, 3] {
-            let part = Partition::ring_arcs(&ring, arcs);
+        for (pname, part) in &parts {
             for workers in [1usize, 2, 4, 8] {
-                let shd = run_sharded(&sc, cfg.clone(), &part, workers);
-                assert_identical(&seq, &shd, &format!("ring:{name}:arcs{arcs}:w{workers}"));
+                let shd = run_sharded(&sc, cfg.clone(), part, workers);
+                assert_identical(&seq, &shd, &format!("ring:{name}:{pname}:w{workers}"));
             }
         }
     }
 }
 
-/// The full matrix on the Fig. 11 fat-tree under the pod partition.
+/// The full matrix on the Fig. 11 fat-tree under the pod partition and
+/// the one-domain partition.
 #[test]
 fn fattree_matrix_matches_sequential_at_every_worker_count() {
     let sc = fattree_scenario();
-    let part = Partition::by_pods(&fig11_case().0);
+    let parts = [
+        ("pods", Partition::by_pods(&fig11_case().0)),
+        ("single", Partition::single(sc.topo.num_nodes())),
+    ];
     for (name, fc, pump) in backends() {
         let cfg = base_cfg(fc, pump);
         let seq = run_sequential(&sc, cfg.clone());
-        for workers in [1usize, 2, 4, 8] {
-            let shd = run_sharded(&sc, cfg.clone(), &part, workers);
-            assert_identical(&seq, &shd, &format!("fattree:{name}:pods:w{workers}"));
+        for (pname, part) in &parts {
+            for workers in [1usize, 2, 4, 8] {
+                let shd = run_sharded(&sc, cfg.clone(), part, workers);
+                assert_identical(&seq, &shd, &format!("fattree:{name}:{pname}:w{workers}"));
+            }
         }
     }
 }
