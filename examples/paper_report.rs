@@ -3,8 +3,11 @@
 //!
 //! ```text
 //! cargo run --release --example paper_report            # quick scale
+//! cargo run --release --example paper_report -- quick   # the same
 //! cargo run --release --example paper_report -- paper   # paper scale (hours)
 //! ```
+//!
+//! Any other argument prints the choices and exits with status 2.
 //!
 //! The output of the quick-scale run is what EXPERIMENTS.md records.
 
@@ -14,9 +17,14 @@ use gfc_experiments::fig12::FatTreeCaseParams;
 use gfc_experiments::*;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        _ => Scale::Quick,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] | ["quick"] => Scale::Quick,
+        ["paper"] => Scale::Paper,
+        _ => {
+            eprintln!("unknown arguments {args:?} — try: quick (the default) or paper");
+            std::process::exit(2);
+        }
     };
     println!("=== GFC paper evaluation, scale: {scale:?} ===\n");
 

@@ -17,14 +17,23 @@
 //! deadlock verdicts, static preflight verdict) equals the sequential
 //! one. CI runs this as the determinism gate of `gfc_sim::shard`; the
 //! full backend × partition × worker matrix lives in
-//! `crates/sim/tests/sharded_determinism.rs`, and the k = 16 scaling
-//! curve in `cargo bench -p gfc-bench --bench sharded_scaling`.
+//! `crates/sim/tests/sharded_determinism.rs`.
+//!
+//! On a host with at least 8 cores the example then arms the scaling
+//! floor: a k = 16 fat-tree (1,024 hosts) under greedy cross-pod
+//! permutation traffic, buffer-based GFC, runs for 150 µs sequentially
+//! and on 8 workers, best of 3 each. The fingerprints must be equal and
+//! the 8-worker run at least 2× faster. Smaller hosts print that the
+//! floor is not armed; `perfbench --workload ft16_permutation_sharded
+//! --trace 1` reports the 2-worker speedup there.
 
 use gfc::prelude::*;
 use gfc_analysis::FlowLedger;
+use gfc_experiments::common::{sim_config_300k, Scheme};
 use gfc_sim::config::PumpPolicy;
 use gfc_sim::PreflightPolicy;
 use gfc_verify::StaticVerdict;
+use std::time::{Duration, Instant};
 
 /// Everything observable about one finished run.
 #[derive(PartialEq)]
@@ -67,31 +76,53 @@ fn flows(ft: &FatTree) -> Vec<(gfc_topology::NodeId, gfc_topology::NodeId)> {
     (0..h).map(|i| (ft.hosts[i], ft.hosts[(i + h / 2) % h])).collect()
 }
 
-fn run_sequential(ft: &FatTree, cfg: &SimConfig, horizon: Time) -> Fingerprint {
+/// Run `flows(ft)` — each `size` bytes, or greedy when `None` — to
+/// `horizon` on the sequential engine; returns the fingerprint and the
+/// wall time of the event loop.
+fn run_sequential(
+    ft: &FatTree,
+    cfg: &SimConfig,
+    size: Option<u64>,
+    horizon: Time,
+) -> (Fingerprint, Duration) {
     let mut net = Network::new(ft.topo.clone(), Routing::spf(), cfg.clone(), TraceConfig::none());
     for (s, d) in flows(ft) {
-        net.start_flow(s, d, Some(500_000), 0).expect("cross-pod route");
+        net.start_flow(s, d, size, 0).expect("cross-pod route");
     }
+    let start = Instant::now();
     net.run_until(horizon);
+    let wall = start.elapsed();
     let verdicts = (net.deadlocked(), net.structurally_deadlocked());
-    fingerprint(net.metrics_snapshot(), net.ledger(), verdicts, net.static_verdict())
+    (fingerprint(net.metrics_snapshot(), net.ledger(), verdicts, net.static_verdict()), wall)
 }
 
-fn run_sharded(ft: &FatTree, cfg: &SimConfig, horizon: Time, workers: usize) -> Fingerprint {
+/// [`run_sequential`] on the sharded engine with the pod partition.
+fn run_sharded(
+    ft: &FatTree,
+    cfg: &SimConfig,
+    size: Option<u64>,
+    horizon: Time,
+    workers: usize,
+) -> (Fingerprint, Duration) {
     let part = Partition::by_pods(ft);
     let mut net = ShardedNetwork::new(ft.topo.clone(), Routing::spf(), cfg.clone(), &part, workers);
     for (s, d) in flows(ft) {
-        net.start_flow(s, d, Some(500_000), 0).expect("cross-pod route");
+        net.start_flow(s, d, size, 0).expect("cross-pod route");
     }
+    let start = Instant::now();
     net.run_until(horizon);
+    let wall = start.elapsed();
     let verdicts = (net.deadlocked(), net.structurally_deadlocked());
-    fingerprint(net.metrics_snapshot(), &net.ledger(), verdicts, net.static_verdict())
+    (fingerprint(net.metrics_snapshot(), &net.ledger(), verdicts, net.static_verdict()), wall)
 }
 
 fn buffer_gfc() -> (FcConfig, PumpPolicy) {
     let fc = FcConfig::GfcBuffer(GfcBufferParams { bm: kb(300), b1: kb(281), stage_ratio: (1, 2) });
     (fc, PumpPolicy::RoundRobin)
 }
+
+/// Flow size of the smoke runs; the scaling floor runs greedy flows.
+const SIZE: Option<u64> = Some(500_000);
 
 fn main() {
     let ft = FatTree::new(8);
@@ -107,10 +138,10 @@ fn main() {
     );
     for (label, (fc, pump)) in backends {
         let cfg = config(fc, pump);
-        let reference = run_sequential(&ft, &cfg, horizon);
+        let reference = run_sequential(&ft, &cfg, SIZE, horizon).0;
         assert!(reference.static_verdict.is_some(), "{label}: preflight did not run");
         for workers in [1usize, 4] {
-            let sharded = run_sharded(&ft, &cfg, horizon, workers);
+            let sharded = run_sharded(&ft, &cfg, SIZE, horizon, workers).0;
             assert!(
                 sharded == reference,
                 "{label} w{workers}: fingerprint diverged from sequential"
@@ -133,9 +164,43 @@ fn main() {
         Partition::by_pods(&ft).num_domains(),
         horizon.as_millis_f64() * 1e3
     );
-    let reference = run_sequential(&ft, &cfg, horizon);
-    let sharded = run_sharded(&ft, &cfg, horizon, 2);
+    let reference = run_sequential(&ft, &cfg, SIZE, horizon).0;
+    let sharded = run_sharded(&ft, &cfg, SIZE, horizon, 2).0;
     assert!(sharded == reference, "k=24 w2: fingerprint diverged from sequential");
     println!("  buffer-based GFC   {:>9} events — w2 fingerprint bit-identical", reference.events);
+    scaling_floor();
     println!("sharded smoke passed");
+}
+
+/// The ≥2× floor of the 8-worker k = 16 run over the sequential one,
+/// armed only where the host has the cores to express it.
+fn scaling_floor() {
+    const WORKERS: usize = 8;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    if cores < WORKERS {
+        println!("scaling floor: not armed ({cores} cores < {WORKERS})");
+        return;
+    }
+    let ft = FatTree::new(16);
+    let cfg = sim_config_300k(Scheme::GfcBuffer, 4242);
+    let horizon = Time::from_micros(150);
+    let best = |run: &dyn Fn() -> (Fingerprint, Duration)| {
+        let (reference, mut wall) = run();
+        for _ in 1..3 {
+            wall = wall.min(run().1);
+        }
+        (reference, wall)
+    };
+    let (seq, seq_wall) = best(&|| run_sequential(&ft, &cfg, None, horizon));
+    let (sharded, sharded_wall) = best(&|| run_sharded(&ft, &cfg, None, horizon, WORKERS));
+    assert!(sharded == seq, "k=16 w{WORKERS}: fingerprint diverged from sequential");
+    let speedup = seq_wall.as_secs_f64() / sharded_wall.as_secs_f64();
+    println!(
+        "scaling floor: k=16 {} events, w{WORKERS} {speedup:.2}x over sequential \
+         ({:.0} ms vs {:.0} ms, best of 3, {cores} cores)",
+        seq.events,
+        sharded_wall.as_secs_f64() * 1e3,
+        seq_wall.as_secs_f64() * 1e3
+    );
+    assert!(speedup >= 2.0, "scaling floor missed: {speedup:.2}x < 2.0x at {WORKERS} workers");
 }
